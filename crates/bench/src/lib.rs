@@ -11,16 +11,15 @@
 //! The `run_experiments` binary drives this to regenerate every table
 //! and figure; see DESIGN.md §3 for the experiment index.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use prix_core::{naive, EngineConfig, PrixEngine};
 use prix_datagen::{generate, Dataset};
 use prix_storage::{BufferPool, Pager};
-use prix_twigstack::{encode_collection, Algorithm, StreamStore, TwigJoin, XbTree};
+use prix_twigstack::{Algorithm, Substrate, TwigJoin};
 use prix_vist::VistIndex;
-use prix_xml::{CollectionStats, Sym};
+use prix_xml::CollectionStats;
 
 /// One engine's measurement for one query.
 #[derive(Debug, Clone, Copy)]
@@ -68,8 +67,7 @@ pub struct Workbench {
     prix: PrixEngine,
     vist: VistIndex,
     vist_pool: Arc<BufferPool>,
-    streams: StreamStore,
-    xb: HashMap<Sym, XbTree>,
+    ts: Substrate,
     ts_pool: Arc<BufferPool>,
 }
 
@@ -83,16 +81,8 @@ impl Workbench {
             .expect("ViST build cannot fail on in-memory pager");
 
         let ts_pool = Arc::new(BufferPool::new(Pager::in_memory(), 2000));
-        let raw = encode_collection(&collection);
-        let streams = StreamStore::build(Arc::clone(&ts_pool), &raw)
-            .expect("stream build cannot fail on in-memory pager");
-        let mut xb = HashMap::new();
-        for (&sym, elems) in &raw {
-            xb.insert(
-                sym,
-                XbTree::build(Arc::clone(&ts_pool), elems).expect("XB build"),
-            );
-        }
+        let ts = Substrate::build(Arc::clone(&ts_pool), &collection)
+            .expect("TwigStack substrate build cannot fail on in-memory pager");
 
         let prix = PrixEngine::build(collection, EngineConfig::default())
             .expect("PRIX build cannot fail on in-memory pager");
@@ -103,8 +93,7 @@ impl Workbench {
             prix,
             vist,
             vist_pool,
-            streams,
-            xb,
+            ts,
             ts_pool,
         }
     }
@@ -164,7 +153,7 @@ impl Workbench {
         self.ts_pool.clear().expect("cache clear");
         let before = self.ts_pool.snapshot();
         let start = Instant::now();
-        let ts = TwigJoin::new(&self.streams)
+        let ts = TwigJoin::new(self.ts.streams())
             .execute(&q, Algorithm::TwigStack)
             .expect("twigstack");
         let twigstack = Measurement {
@@ -177,7 +166,7 @@ impl Workbench {
         self.ts_pool.clear().expect("cache clear");
         let before = self.ts_pool.snapshot();
         let start = Instant::now();
-        let xb = TwigJoin::with_xbtrees(&self.streams, &self.xb)
+        let xb = TwigJoin::new(self.ts.streams())
             .execute(&q, Algorithm::TwigStackXB)
             .expect("twigstackxb");
         let twigstackxb = Measurement {

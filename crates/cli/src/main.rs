@@ -24,10 +24,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use prix_core::plan::{AltProvider, EngineChoice, EngineId, QueryEngine};
-use prix_core::{EngineConfig, ExecOpts, LabelingMode, PrixEngine};
-use prix_server::{Server, ServerConfig};
-use prix_storage::{BufferPool, Pager};
+use prix_core::plan::EngineChoice;
+use prix_core::{EngineConfig, ExecOpts, LabelingMode, PrixEngine, SharedEngine};
+use prix_server::{AltCache, Server, ServerConfig, SnapshotAlts};
 use prix_xml::{write_document, Collection};
 
 const USAGE: &str = "usage:\n  prix index [--bulk] [--run-mem-mb N] [--split] [--no-wal] [--alpha N] <out.prix> <file.xml>...\n  prix query <db.prix> \"<xpath>\" [--unordered] [--limit N] [--engine prix|prix_rp|prix_ep|vist|twigstack|twigstackxb]\n  prix serve <db.prix> [--addr HOST:PORT] [--ingest] [--threads N] [--queue N] [--buffer-pages N] [--batch-threads N] [--max-conns N] [--result-cache-entries N] [--idle-timeout-ms N] [--compact-after N] [--no-wal]\n  prix stats <db.prix>\n  prix segments <db.prix> [--verify]\n  prix compact <db.prix> [--run-mem-mb N]\n  prix fsck <db.prix>\n  prix explain <db.prix> \"<xpath>\"\n  prix add <db.prix> <file.xml>...\n  prix gen <dblp|swissprot|treebank|shop> <dir> [--scale S] [--seed N]";
@@ -203,56 +202,6 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Lazily-built ViST/TwigStack engines for `prix query --engine`: the
-/// collection is reconstructed out of the RP index on first use, then
-/// indexed into in-memory substrates (same data path as the server's
-/// per-epoch cache).
-struct CliAlts<'a> {
-    engine: &'a PrixEngine,
-    built: std::sync::Mutex<Option<CliBuilt>>,
-}
-
-struct CliBuilt {
-    vist: std::sync::Arc<dyn QueryEngine>,
-    twigstack: std::sync::Arc<dyn QueryEngine>,
-    twigstack_xb: std::sync::Arc<dyn QueryEngine>,
-}
-
-impl AltProvider for CliAlts<'_> {
-    fn alt_engine(
-        &self,
-        id: EngineId,
-    ) -> prix_core::index::Result<std::sync::Arc<dyn QueryEngine>> {
-        use std::sync::Arc;
-        let mut built = self.built.lock().unwrap_or_else(|e| e.into_inner());
-        if built.is_none() {
-            let collection = Arc::new(self.engine.reconstruct_collection()?);
-            let vist_pool = Arc::new(BufferPool::new(Pager::in_memory(), 4096));
-            let vist = prix_vist::VistEngine::build(vist_pool, Arc::clone(&collection))
-                .map_err(prix_core::index::IndexError::Storage)?;
-            let ts_pool = Arc::new(BufferPool::new(Pager::in_memory(), 4096));
-            let sub = Arc::new(
-                prix_twigstack::Substrate::build(ts_pool, &collection)
-                    .map_err(prix_core::index::IndexError::Storage)?,
-            );
-            *built = Some(CliBuilt {
-                vist: Arc::new(vist),
-                twigstack: Arc::new(prix_twigstack::TwigStackEngine::twigstack(Arc::clone(&sub))),
-                twigstack_xb: Arc::new(prix_twigstack::TwigStackEngine::twigstack_xb(sub)),
-            });
-        }
-        let b = built.as_ref().unwrap();
-        match id {
-            EngineId::Vist => Ok(Arc::clone(&b.vist)),
-            EngineId::TwigStack => Ok(Arc::clone(&b.twigstack)),
-            EngineId::TwigStackXb => Ok(Arc::clone(&b.twigstack_xb)),
-            EngineId::PrixRp | EngineId::PrixEp => Err(prix_core::index::IndexError::Unsupported(
-                "PRIX runs on its own indexes".into(),
-            )),
-        }
-    }
-}
-
 fn cmd_query(args: &[String]) -> Result<(), CliError> {
     let [db, xpath, rest @ ..] = args else {
         return Err(usage_err("query needs <db.prix> and \"<xpath>\""));
@@ -299,19 +248,21 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
             "--engine cannot be combined with --unordered (arrangement matching is PRIX-only)",
         ));
     }
-    let mut engine = PrixEngine::reopen(db, 2000).map_err(|e| e.to_string())?;
-    let q = engine.parse_query(xpath).map_err(|e| e.to_string())?;
+    let engine = PrixEngine::reopen(db, 2000).map_err(|e| e.to_string())?;
+    // The server's read path: a snapshot, with the alternative engines
+    // built lazily, one substrate at a time, by the server's cache.
+    let snap = SharedEngine::new(engine).snapshot();
+    let q = snap.parse_query(xpath).map_err(|e| e.to_string())?;
     let out = if unordered {
-        engine
-            .query_unordered_opts(&q, &opts)
+        snap.query_unordered_opts(&q, &opts)
             .map_err(|e| e.to_string())?
     } else {
-        let alts = CliAlts {
-            engine: &engine,
-            built: std::sync::Mutex::new(None),
+        let cache = AltCache::new();
+        let alts = SnapshotAlts {
+            snap: &snap,
+            cache: &cache,
         };
-        engine
-            .query_routed(&q, &opts, forced, &alts)
+        snap.query_routed(&q, &opts, forced, &alts)
             .map_err(|e| e.to_string())?
             .outcome
     };
@@ -334,7 +285,7 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         "io: {} pages read, {} pages written, {} fsyncs",
         out.io.physical_reads, out.io.physical_writes, out.io.fsyncs
     );
-    println!("epoch: {}", engine.epoch());
+    println!("epoch: {}", snap.epoch());
     println!(
         "stages: filter {:?}, refine {:?}, project {:?}",
         out.stats.filter_time, out.stats.refine_time, out.stats.project_time

@@ -13,6 +13,7 @@ use std::time::Duration;
 use prix_core::plan::EngineId;
 use prix_storage::{IoSnapshot, RecoveryReport};
 
+use crate::alts::AltRebuilds;
 use crate::cache::CacheSnapshot;
 use crate::json::escape;
 
@@ -675,6 +676,28 @@ impl Metrics {
         out.push_str("# TYPE prix_bufferpool_capacity_pages gauge\n");
         out.push_str(&format!("prix_bufferpool_capacity_pages {capacity}\n"));
         out
+    }
+}
+
+/// Appends the alternative-engine rebuild counters that
+/// [`crate::AltCache`] keeps. Exact names are a dashboard contract:
+/// every substrate renders, as zero when never built.
+pub(crate) fn render_alt_rebuilds(out: &mut String, rebuilds: &[AltRebuilds]) {
+    out.push_str("# HELP prix_alt_rebuild_total Alternative-engine builds, by substrate (twigstack serves TwigStack and TwigStackXB).\n");
+    out.push_str("# TYPE prix_alt_rebuild_total counter\n");
+    for r in rebuilds {
+        out.push_str(&format!(
+            "prix_alt_rebuild_total{{engine=\"{}\"}} {}\n",
+            r.engine, r.builds
+        ));
+    }
+    out.push_str("# HELP prix_alt_rebuild_seconds_total Wall clock spent building alternative engines, collection reconstruction included, by substrate.\n");
+    out.push_str("# TYPE prix_alt_rebuild_seconds_total counter\n");
+    for r in rebuilds {
+        out.push_str(&format!(
+            "prix_alt_rebuild_seconds_total{{engine=\"{}\"}} {}\n",
+            r.engine, r.seconds
+        ));
     }
 }
 

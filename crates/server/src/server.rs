@@ -58,7 +58,7 @@ use crate::alts::{AltCache, SnapshotAlts};
 use crate::cache::{PlanCache, ResultCache, ResultKey};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::json::JsonWriter;
-use crate::metrics::{Endpoint, EngineGauges, Metrics, Stage};
+use crate::metrics::{render_alt_rebuilds, Endpoint, EngineGauges, Metrics, Stage};
 use crate::workers::{QueueProbe, WorkerPool};
 
 /// Server tuning knobs. `Default` is sized for tests and small
@@ -554,7 +554,7 @@ fn handle_metrics(shared: &Arc<Shared>) -> Response {
         seg_block_reads: seg_io.seg_block_reads,
         seg_block_fetches: seg_io.seg_block_fetches,
     };
-    let body = shared.metrics.render(
+    let mut body = shared.metrics.render(
         pool.snapshot(),
         pool.resident(),
         pool.capacity(),
@@ -565,6 +565,7 @@ fn handle_metrics(shared: &Arc<Shared>) -> Response {
         shared.result_cache.snapshot(),
         gauges,
     );
+    render_alt_rebuilds(&mut body, &shared.alt_cache.rebuilds());
     Response::new(200).body(
         "text/plain; version=0.0.4; charset=utf-8",
         body.into_bytes(),

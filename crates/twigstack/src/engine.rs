@@ -1,9 +1,9 @@
 //! Routed [`prix_core::plan::QueryEngine`] adapters for the
-//! TwigStack family. A [`Substrate`] (per-tag streams + XB-trees +
-//! per-document postorder maps) is built once over the shared
-//! collection; [`TwigStackEngine`] then answers queries with either
-//! algorithm, translating region-encoded assignments back into PRIX's
-//! `(doc, postorder embedding)` match representation.
+//! TwigStack family. A [`Substrate`] (per-tag streams with their
+//! XB-trees + per-document postorder maps) is built once over the
+//! shared collection; [`TwigStackEngine`] then answers queries with
+//! either algorithm, translating region-encoded assignments back into
+//! PRIX's `(doc, postorder embedding)` match representation.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,36 +13,33 @@ use prix_core::plan::{EngineId, QueryEngine};
 use prix_core::query::TwigQuery;
 use prix_core::{ExecOpts, IndexKind, QueryOutcome, QueryStats, TwigMatch};
 use prix_storage::{BufferPool, IoScope, StorageError};
-use prix_xml::{Collection, DocId, Sym};
+use prix_xml::{Collection, DocId};
 
 use crate::join::{assignment_postorders, Algorithm, TwigJoin};
 use crate::pos::encode_collection;
 use crate::stream::StreamStore;
-use crate::xbtree::XbTree;
 
 /// The shared per-collection substrate both algorithms read:
-/// region-encoded streams, XB-trees, and the sorted `Right` values of
-/// every document (the map from region encoding back to postorder
-/// numbers).
+/// region-encoded streams (whose chunks are also the XB-tree leaves),
+/// and the sorted `Right` values of every document (the map from
+/// region encoding back to postorder numbers).
 pub struct Substrate {
     streams: StreamStore,
-    xb: HashMap<Sym, XbTree>,
     doc_rights: HashMap<DocId, Vec<u64>>,
 }
 
 impl Substrate {
     /// Region-encodes `collection` and builds streams + XB-trees in
-    /// `pool`.
+    /// `pool`. This is the one way the TwigStack family's storage is
+    /// built.
     pub fn build(
         pool: Arc<BufferPool>,
         collection: &Collection,
     ) -> Result<Substrate, StorageError> {
         let raw = encode_collection(collection);
-        let streams = StreamStore::build(Arc::clone(&pool), &raw)?;
-        let mut xb = HashMap::new();
+        let streams = StreamStore::build(pool, &raw)?;
         let mut doc_rights: HashMap<DocId, Vec<u64>> = HashMap::new();
-        for (&sym, elems) in &raw {
-            xb.insert(sym, XbTree::build(Arc::clone(&pool), elems)?);
+        for elems in raw.values() {
             for e in elems {
                 doc_rights.entry(e.doc).or_default().push(e.right);
             }
@@ -52,19 +49,13 @@ impl Substrate {
         }
         Ok(Substrate {
             streams,
-            xb,
             doc_rights,
         })
     }
 
-    /// The element streams.
+    /// The element streams and their XB-trees.
     pub fn streams(&self) -> &StreamStore {
         &self.streams
-    }
-
-    /// The per-tag XB-trees.
-    pub fn xbtrees(&self) -> &HashMap<Sym, XbTree> {
-        &self.xb
     }
 }
 
@@ -107,11 +98,7 @@ impl QueryEngine for TwigStackEngine {
     fn execute(&self, q: &TwigQuery, opts: &ExecOpts) -> prix_core::index::Result<QueryOutcome> {
         let scope = IoScope::begin();
         let start = Instant::now();
-        let join = match self.alg {
-            Algorithm::TwigStack => TwigJoin::new(&self.sub.streams),
-            Algorithm::TwigStackXB => TwigJoin::with_xbtrees(&self.sub.streams, &self.sub.xb),
-        };
-        let result = join.execute(q, self.alg)?;
+        let result = TwigJoin::new(&self.sub.streams).execute(q, self.alg)?;
         let mut matches: Vec<TwigMatch> = Vec::with_capacity(result.matches.len());
         for asg in &result.matches {
             let doc = asg[0].doc;
@@ -147,5 +134,39 @@ impl QueryEngine for TwigStackEngine {
             truncated,
             engine: self.id(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prix_storage::{Pager, PAGE_SIZE};
+
+    use crate::pos::Element;
+
+    #[test]
+    fn singleton_tags_cost_their_elements_not_a_page_each() {
+        // 10,000 documents, each one element with a tag of its own: the
+        // shape of a collection's value tags, most of which occur once.
+        let mut collection = Collection::new();
+        for i in 0..10_000 {
+            collection.add_xml(&format!("<t{i}/>")).unwrap();
+        }
+        let pool = Arc::new(BufferPool::new(Pager::in_memory(), 64));
+        let empty = pool.pager().num_pages();
+        let sub = Substrate::build(Arc::clone(&pool), &collection).unwrap();
+        let elements = 10_000u64;
+        let pages = pool.pager().num_pages() - empty;
+        let floor =
+            (elements * Element::ENCODED_LEN as u64 + PAGE_SIZE as u64 - 1) / PAGE_SIZE as u64;
+        // The slack is the record store's 4-byte cell header and slot
+        // per one-element chunk (~5 pages here). An XB page per tag
+        // would be 10,000 pages.
+        assert!(pages <= floor + 8, "{pages} pages for {elements} elements");
+        assert_eq!(
+            sub.streams()
+                .len(collection.symbols().lookup("t42").unwrap()),
+            1
+        );
     }
 }

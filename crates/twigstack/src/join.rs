@@ -28,7 +28,7 @@ use prix_xml::{PostNum, Sym};
 
 use crate::pos::Element;
 use crate::stream::{StreamReader, StreamStore};
-use crate::xbtree::{XbCursor, XbTree};
+use crate::xbtree::XbCursor;
 
 /// Which member of the family to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,25 +212,16 @@ impl JoinQuery {
     }
 }
 
-/// A configured twig join over one [`StreamStore`].
+/// A configured twig join over one [`StreamStore`]: TwigStack reads
+/// its plain streams, TwigStackXB its XB-trees.
 pub struct TwigJoin<'a> {
     streams: &'a StreamStore,
-    xb: Option<&'a HashMap<Sym, XbTree>>,
 }
 
 impl<'a> TwigJoin<'a> {
-    /// A join reading plain streams (TwigStack / PathStack).
+    /// A join over `streams`.
     pub fn new(streams: &'a StreamStore) -> Self {
-        TwigJoin { streams, xb: None }
-    }
-
-    /// A join using XB-trees (TwigStackXB). Trees must exist for every
-    /// tag the queries use; missing tags fall back to plain streams.
-    pub fn with_xbtrees(streams: &'a StreamStore, xb: &'a HashMap<Sym, XbTree>) -> Self {
-        TwigJoin {
-            streams,
-            xb: Some(xb),
-        }
+        TwigJoin { streams }
     }
 
     /// Runs the join.
@@ -241,11 +232,9 @@ impl<'a> TwigJoin<'a> {
         let mut inputs: Vec<Input<'a>> = Vec::with_capacity(jq.m);
         for i in 0..jq.m {
             let sym = jq.label[i];
-            let input = match (algorithm, self.xb) {
-                (Algorithm::TwigStackXB, Some(xb)) if xb.contains_key(&sym) => {
-                    Input::Xb(xb[&sym].cursor()?)
-                }
-                _ => {
+            let input = match algorithm {
+                Algorithm::TwigStackXB => Input::Xb(self.streams.xb_cursor(sym)?),
+                Algorithm::TwigStack => {
                     let mut reader = self.streams.reader(sym);
                     let cur = reader.head()?;
                     Input::Stream { reader, cur }
@@ -544,20 +533,6 @@ fn verify(jq: &JoinQuery, asg: &TwigAssignment) -> bool {
     true
 }
 
-/// Convenience: counts matches for a query using the given algorithm.
-pub fn count_matches(
-    streams: &StreamStore,
-    xb: Option<&HashMap<Sym, XbTree>>,
-    q: &TwigQuery,
-    algorithm: Algorithm,
-) -> Result<u64> {
-    let join = match xb {
-        Some(x) => TwigJoin::with_xbtrees(streams, x),
-        None => TwigJoin::new(streams),
-    };
-    Ok(join.execute(q, algorithm)?.stats.matches)
-}
-
 /// `PostNum`-style view of a match for cross-checking against PRIX: the
 /// postorder number of each image within its document (derived from the
 /// per-document Right order).
@@ -580,13 +555,12 @@ mod tests {
     use prix_xml::{Collection, SymbolTable};
     use std::sync::Arc;
 
-    use crate::pos::encode_collection;
+    use crate::engine::Substrate;
 
     struct Fixture {
         collection: Collection,
         pool: Arc<BufferPool>,
-        streams: StreamStore,
-        xb: HashMap<Sym, XbTree>,
+        sub: Substrate,
     }
 
     fn fixture(xmls: &[&str]) -> Fixture {
@@ -595,25 +569,18 @@ mod tests {
             collection.add_xml(x).unwrap();
         }
         let pool = Arc::new(BufferPool::new(Pager::in_memory(), 512));
-        let raw = encode_collection(&collection);
-        let streams = StreamStore::build(Arc::clone(&pool), &raw).unwrap();
-        let mut xb = HashMap::new();
-        for (&sym, elems) in &raw {
-            xb.insert(sym, XbTree::build(Arc::clone(&pool), elems).unwrap());
-        }
+        let sub = Substrate::build(Arc::clone(&pool), &collection).unwrap();
         Fixture {
             collection,
             pool,
-            streams,
-            xb,
+            sub,
         }
     }
 
     fn run(f: &Fixture, xpath: &str, alg: Algorithm) -> TwigResult {
         let mut syms: SymbolTable = f.collection.symbols().clone();
         let q = parse_xpath(xpath, &mut syms).unwrap();
-        let join = TwigJoin::with_xbtrees(&f.streams, &f.xb);
-        join.execute(&q, alg).unwrap()
+        TwigJoin::new(f.sub.streams()).execute(&q, alg).unwrap()
     }
 
     #[test]
@@ -714,13 +681,12 @@ mod tests {
 
         f.pool.clear().unwrap();
         let before = f.pool.snapshot();
-        let join = TwigJoin::new(&f.streams);
+        let join = TwigJoin::new(f.sub.streams());
         let plain = join.execute(&q, Algorithm::TwigStack).unwrap();
         let plain_io = f.pool.snapshot().since(&before);
 
         f.pool.clear().unwrap();
         let before = f.pool.snapshot();
-        let join = TwigJoin::with_xbtrees(&f.streams, &f.xb);
         let xb = join.execute(&q, Algorithm::TwigStackXB).unwrap();
         let xb_io = f.pool.snapshot().since(&before);
 

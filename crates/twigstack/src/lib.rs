@@ -11,7 +11,7 @@
 //!   shared buffer pool (the input lists whose pages the paper counts),
 //! * [`xbtree`] — XB-Trees: a B-tree over `Left` whose internal entries
 //!   carry the max `Right` of their subtree, letting TwigStackXB skip
-//!   stream regions,
+//!   stream regions; its leaves are the stream's own chunks,
 //! * [`join`] — `PathStack`, `TwigStack` and `TwigStackXB` with the
 //!   `getNext` core, stack encoding of partial solutions, path-solution
 //!   emission, and the merge post-processing step (where parent-child
@@ -30,4 +30,4 @@ pub use join::{Algorithm, JoinStats, TwigJoin, TwigResult};
 pub use pathstack::{path_stack, NotAPath};
 pub use pos::{encode_collection, Element};
 pub use stream::{StreamReader, StreamStore};
-pub use xbtree::{XbCursor, XbTree};
+pub use xbtree::XbCursor;

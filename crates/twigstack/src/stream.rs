@@ -6,67 +6,111 @@
 //! sequentially through the buffer pool, so "pages read" reflects how
 //! much of each input list an algorithm actually touched — the quantity
 //! behind Tables 7–9.
+//!
+//! Each element is stored once. A stream's chunk records are also the
+//! leaf level of its XB-tree ([`crate::xbtree`]): only a stream of more
+//! than one chunk gets internal XB pages on top of its chunks.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-use prix_storage::{BufferPool, RecordId, RecordStore, Result};
+use prix_storage::{BufferPool, PageId, RecordId, RecordStore, Result};
 use prix_xml::Sym;
 
 use crate::pos::Element;
+use crate::xbtree::{self, XbCursor};
 
-/// Elements per chunk record (~7 KiB per chunk of 24-byte elements).
-const CHUNK: usize = 300;
+/// Elements per chunk record and so per XB-tree leaf (~7 KiB per chunk
+/// of 24-byte elements).
+pub(crate) const CHUNK: usize = 300;
 
 /// Metadata of one on-disk stream.
-#[derive(Debug, Clone, Default)]
-pub struct StreamMeta {
-    chunks: Vec<RecordId>,
+#[derive(Debug)]
+struct StreamMeta {
+    /// This stream's slice of [`StreamStore::chunks`].
+    chunks: Range<usize>,
     len: usize,
+    /// Root of the XB-tree's internal levels; `None` when the stream
+    /// has at most one chunk (that chunk is the whole tree).
+    xb_root: Option<PageId>,
 }
 
-/// All per-tag streams of a collection, on disk.
+/// All per-tag streams of a collection, on disk, each with its XB-tree.
 pub struct StreamStore {
+    pool: Arc<BufferPool>,
     store: RecordStore,
+    /// Every stream's chunk records, stream after stream.
+    chunks: Vec<RecordId>,
     streams: HashMap<Sym, StreamMeta>,
 }
 
 impl StreamStore {
     /// Writes `streams` (each sorted by `Left`) into `pool`-backed
-    /// storage.
+    /// storage, together with the internal levels of each stream's
+    /// XB-tree. Streams are laid out in tag order, so page layout and
+    /// page counts do not depend on hash order.
     pub fn build(pool: Arc<BufferPool>, streams: &HashMap<Sym, Vec<Element>>) -> Result<Self> {
-        let mut store = RecordStore::create(pool)?;
+        let mut store = RecordStore::create(Arc::clone(&pool))?;
+        let mut syms: Vec<Sym> = streams.keys().copied().collect();
+        syms.sort_unstable();
+        let mut chunks = Vec::new();
         let mut metas = HashMap::with_capacity(streams.len());
-        for (&sym, elems) in streams {
-            let mut meta = StreamMeta {
-                chunks: Vec::with_capacity((elems.len() + CHUNK - 1) / CHUNK),
-                len: elems.len(),
-            };
+        let mut buf = Vec::with_capacity(CHUNK * Element::ENCODED_LEN);
+        for sym in syms {
+            let elems = &streams[&sym];
+            let first = chunks.len();
+            let mut leaves = Vec::with_capacity((elems.len() + CHUNK - 1) / CHUNK);
             for chunk in elems.chunks(CHUNK) {
-                let mut buf = Vec::with_capacity(chunk.len() * Element::ENCODED_LEN);
+                buf.clear();
                 for e in chunk {
                     buf.extend_from_slice(&e.encode());
                 }
-                meta.chunks.push(store.append(&buf)?);
+                let id = store.append(&buf)?;
+                chunks.push(id);
+                let max_r = chunk
+                    .iter()
+                    .map(|e| e.right)
+                    .max()
+                    .expect("chunks are non-empty");
+                leaves.push((chunk[0].left, max_r, id.raw()));
             }
+            let meta = StreamMeta {
+                chunks: first..chunks.len(),
+                len: elems.len(),
+                xb_root: xbtree::build_internal(&pool, leaves)?,
+            };
             metas.insert(sym, meta);
         }
         Ok(StreamStore {
+            pool,
             store,
+            chunks,
             streams: metas,
         })
     }
 
+    fn meta(&self, sym: Sym) -> &StreamMeta {
+        static EMPTY: StreamMeta = StreamMeta {
+            chunks: 0..0,
+            len: 0,
+            xb_root: None,
+        };
+        self.streams.get(&sym).unwrap_or(&EMPTY)
+    }
+
     /// Number of elements in the stream of `sym` (0 if absent).
     pub fn len(&self, sym: Sym) -> usize {
-        self.streams.get(&sym).map_or(0, |m| m.len)
+        self.meta(sym).len
     }
 
     /// Opens a sequential reader over the stream of `sym`.
     pub fn reader(&self, sym: Sym) -> StreamReader<'_> {
+        let meta = self.meta(sym);
         StreamReader {
             store: &self.store,
-            meta: self.streams.get(&sym).cloned().unwrap_or_default(),
+            chunks: &self.chunks[meta.chunks.clone()],
+            len: meta.len,
             chunk_idx: 0,
             buf: Vec::new(),
             pos_in_chunk: 0,
@@ -74,8 +118,20 @@ impl StreamStore {
         }
     }
 
-    /// All element chunks of `sym`, decoded (bulk access for XB-tree
-    /// construction and tests).
+    /// Opens an XB-tree cursor over the stream of `sym`, positioned at
+    /// the root: an internal entry, or the first element when the
+    /// stream fits in one chunk.
+    pub fn xb_cursor(&self, sym: Sym) -> Result<XbCursor<'_>> {
+        let meta = self.meta(sym);
+        XbCursor::open(
+            &self.pool,
+            &self.store,
+            &self.chunks[meta.chunks.clone()],
+            meta.xb_root,
+        )
+    }
+
+    /// All element chunks of `sym`, decoded (bulk access for tests).
     pub fn read_all(&self, sym: Sym) -> Result<Vec<Element>> {
         let mut r = self.reader(sym);
         let mut out = Vec::new();
@@ -90,7 +146,8 @@ impl StreamStore {
 /// Sequential cursor over one stream.
 pub struct StreamReader<'a> {
     store: &'a RecordStore,
-    meta: StreamMeta,
+    chunks: &'a [RecordId],
+    len: usize,
     chunk_idx: usize,
     buf: Vec<u8>,
     pos_in_chunk: usize,
@@ -101,11 +158,11 @@ impl<'a> StreamReader<'a> {
     /// The current element, or `None` at end of stream. Loads the
     /// current chunk on demand (a buffer-pool read).
     pub fn head(&mut self) -> Result<Option<Element>> {
-        if self.consumed >= self.meta.len {
+        if self.consumed >= self.len {
             return Ok(None);
         }
         if self.buf.is_empty() {
-            self.buf = self.store.read(self.meta.chunks[self.chunk_idx])?;
+            self.buf = self.store.read(self.chunks[self.chunk_idx])?;
             self.pos_in_chunk = 0;
         }
         let off = self.pos_in_chunk * Element::ENCODED_LEN;
@@ -116,7 +173,7 @@ impl<'a> StreamReader<'a> {
 
     /// Moves past the current element.
     pub fn advance(&mut self) -> Result<()> {
-        if self.consumed >= self.meta.len {
+        if self.consumed >= self.len {
             return Ok(());
         }
         self.consumed += 1;
@@ -130,7 +187,7 @@ impl<'a> StreamReader<'a> {
 
     /// `true` once the stream is exhausted.
     pub fn eof(&self) -> bool {
-        self.consumed >= self.meta.len
+        self.consumed >= self.len
     }
 
     /// Elements consumed so far.

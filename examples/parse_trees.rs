@@ -6,14 +6,13 @@
 //! cargo run --release --example parse_trees
 //! ```
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use prix::core::index::ExecOpts;
 use prix::core::{EngineConfig, PrixEngine};
 use prix::datagen::Dataset;
 use prix::storage::{BufferPool, Pager};
-use prix::twigstack::{encode_collection, Algorithm, StreamStore, TwigJoin, XbTree};
+use prix::twigstack::{Algorithm, Substrate, TwigJoin};
 use prix::vist::VistIndex;
 
 fn main() {
@@ -60,13 +59,8 @@ fn main() {
 
     // The same query on the baselines.
     let pool = Arc::new(BufferPool::new(Pager::in_memory(), 2000));
-    let raw = encode_collection(&collection);
-    let streams = StreamStore::build(Arc::clone(&pool), &raw).unwrap();
-    let mut xb = HashMap::new();
-    for (&sym, elems) in &raw {
-        xb.insert(sym, XbTree::build(Arc::clone(&pool), elems).unwrap());
-    }
-    let ts = TwigJoin::new(&streams)
+    let sub = Substrate::build(pool, &collection).unwrap();
+    let ts = TwigJoin::new(sub.streams())
         .execute(&q8, Algorithm::TwigStack)
         .unwrap();
     println!(
@@ -76,7 +70,7 @@ fn main() {
         ts.stats.path_solutions,
         ts.stats.merged_candidates.saturating_sub(ts.stats.matches)
     );
-    let xbr = TwigJoin::with_xbtrees(&streams, &xb)
+    let xbr = TwigJoin::new(sub.streams())
         .execute(&q8, Algorithm::TwigStackXB)
         .unwrap();
     println!(

@@ -113,6 +113,15 @@ for ENG in twigstackxb vist; do
     echo "forced: $(match_json "$FORCED")" >&2
     exit 1
   }
+  if [ "$ENG" = twigstackxb ]; then
+    # The alternative engines build one substrate at a time: forcing
+    # TwigStackXB builds the TwigStack substrate once and no ViST.
+    ALTMETRICS=$(http /metrics)
+    for LINE in 'prix_alt_rebuild_total{engine="twigstack"} 1' 'prix_alt_rebuild_total{engine="vist"} 0' \
+      'prix_alt_rebuild_seconds_total{engine="twigstack"} [0-9.]*[1-9][0-9.]*' 'prix_alt_rebuild_seconds_total{engine="vist"} 0'; do
+      grep -qx "$LINE" <<<"$ALTMETRICS" || { echo "forced-engine smoke: no metrics line matching \`$LINE\`" >&2; exit 1; }
+    done
+  fi
 done
 PLANMETRICS=$(http /metrics)
 grep -q 'prix_planner_engine_chosen_total{engine="twigstackxb"} 1' <<<"$PLANMETRICS" || {

@@ -6,7 +6,6 @@
 //! paper workload plus random twigs via `prix-testkit`, with pinned
 //! replay seeds at the bottom of the file.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use prix::core::query::TwigQuery;
@@ -16,9 +15,7 @@ use prix::core::{
 };
 use prix::datagen::{generate, queries::queries_for, Dataset};
 use prix::storage::{BufferPool, Pager};
-use prix::twigstack::{
-    encode_collection, Algorithm, StreamStore, Substrate, TwigJoin, TwigStackEngine, XbTree,
-};
+use prix::twigstack::{Algorithm, Substrate, TwigJoin, TwigStackEngine};
 use prix::vist::{VistEngine, VistIndex};
 use prix::xml::{Collection, NodeKind, SymbolTable, XmlTree};
 use prix_testkit::{check, from_fn, replay, Config, Generator, TestRng};
@@ -29,12 +26,7 @@ fn check_counts(ds: Dataset) {
 
     // TwigStack substrate.
     let pool = Arc::new(BufferPool::new(Pager::in_memory(), 2000));
-    let raw = encode_collection(&collection);
-    let streams = StreamStore::build(Arc::clone(&pool), &raw).unwrap();
-    let mut xb = HashMap::new();
-    for (&sym, elems) in &raw {
-        xb.insert(sym, XbTree::build(Arc::clone(&pool), elems).unwrap());
-    }
+    let sub = Substrate::build(pool, &collection).unwrap();
 
     // ViST substrate.
     let vist_pool = Arc::new(BufferPool::new(Pager::in_memory(), 2000));
@@ -47,12 +39,12 @@ fn check_counts(ds: Dataset) {
         let prix_n = engine.query(&q).unwrap().matches.len() as u64;
         assert_eq!(prix_n, expected, "{}: PRIX", pq.id);
 
-        let ts = TwigJoin::new(&streams)
+        let ts = TwigJoin::new(sub.streams())
             .execute(&q, Algorithm::TwigStack)
             .unwrap();
         assert_eq!(ts.stats.matches, expected, "{}: TwigStack", pq.id);
 
-        let xbj = TwigJoin::with_xbtrees(&streams, &xb)
+        let xbj = TwigJoin::new(sub.streams())
             .execute(&q, Algorithm::TwigStackXB)
             .unwrap();
         assert_eq!(xbj.stats.matches, expected, "{}: TwigStackXB", pq.id);
@@ -84,6 +76,57 @@ fn swissprot_engines_agree() {
 #[test]
 fn treebank_engines_agree() {
     check_counts(Dataset::Treebank);
+}
+
+/// Most tags of a real collection are leaf values that occur once; each
+/// of their streams is a single chunk whose XB-tree has no internal
+/// page. TwigStackXB must still return exactly the oracle's embeddings,
+/// on singleton streams and on the multi-chunk streams beside them.
+#[test]
+fn twigstackxb_equals_oracle_on_singleton_value_tags() {
+    let mut collection = Collection::new();
+    for i in 0..2_000 {
+        collection
+            .add_xml(&format!(
+                "<book><title>T{i}</title><year>{}</year><author>A{}</author></book>",
+                1990 + i % 30,
+                i % 700
+            ))
+            .unwrap();
+    }
+    let sub = Arc::new(
+        Substrate::build(
+            Arc::new(BufferPool::new(Pager::in_memory(), 256)),
+            &collection,
+        )
+        .unwrap(),
+    );
+    let xb = TwigStackEngine::twigstack_xb(sub);
+    let mut syms = collection.symbols().clone();
+    for xpath in [
+        r#"//book[./title="T17"]/year"#,
+        r#"//book[./title="T1999"]/author"#,
+        r#"//book[./author="A5"]"#,
+        r#"//book[./year="1995"]/author"#,
+        r#"//title[text()="T0"]"#,
+        "//book/year",
+        r#"//book[./title="T3"]//author"#,
+    ] {
+        let q = prix::core::xpath::parse_xpath(xpath, &mut syms).unwrap();
+        let mut want: Vec<TwigMatch> = collection
+            .iter()
+            .flat_map(|(doc, tree)| {
+                naive::naive_ordered(tree, &q)
+                    .into_iter()
+                    .map(move |embedding| TwigMatch { doc, embedding })
+            })
+            .collect();
+        want.sort_unstable_by(|a, b| (a.doc, &a.embedding).cmp(&(b.doc, &b.embedding)));
+        want.dedup();
+        let got = xb.execute(&q, &ExecOpts::new()).unwrap();
+        assert!(!want.is_empty(), "{xpath}: the oracle finds matches");
+        assert_eq!(got.matches, want, "{xpath}");
+    }
 }
 
 // ---------------------------------------------------------------------

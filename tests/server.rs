@@ -250,6 +250,49 @@ fn forced_engine_param_agrees_and_is_counted() {
         r#"prix_planner_engine_chosen_total{engine="twigstack"} 1"#,
         r#"prix_planner_engine_chosen_total{engine="twigstackxb"} 1"#,
         "prix_planner_mispredict_total",
+        // Alternative-engine rebuilds, one per substrate: TwigStack and
+        // TwigStackXB share theirs. Exact names are a dashboard
+        // contract.
+        r#"prix_alt_rebuild_total{engine="vist"} 1"#,
+        r#"prix_alt_rebuild_total{engine="twigstack"} 1"#,
+        r#"prix_alt_rebuild_seconds_total{engine="vist"} "#,
+        r#"prix_alt_rebuild_seconds_total{engine="twigstack"} "#,
+    ] {
+        assert!(metrics.contains(line), "missing `{line}` in {metrics}");
+    }
+    h.shutdown().unwrap();
+}
+
+#[test]
+fn concurrent_forced_twigstack_builds_one_substrate_and_no_vist() {
+    let h = start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 4,
+        ..Default::default()
+    });
+    let addr = h.addr();
+    let bodies: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(move || {
+                    let (status, body) = get(addr, "/query?xp=//www/url&engine=twigstack");
+                    assert_eq!(status, 200, "{body}");
+                    body
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for body in &bodies {
+        assert!(body.contains(r#""engine":"twigstack""#), "{body}");
+        assert!(body.contains(r#""count":1"#), "{body}");
+    }
+    let (status, metrics) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    for line in [
+        r#"prix_alt_rebuild_total{engine="twigstack"} 1"#,
+        r#"prix_alt_rebuild_total{engine="vist"} 0"#,
+        r#"prix_alt_rebuild_seconds_total{engine="vist"} 0"#,
     ] {
         assert!(metrics.contains(line), "missing `{line}` in {metrics}");
     }
