@@ -1,4 +1,4 @@
-//! Concurrent query throughput: `PrixEngine::query_batch` at 1, 2, and
+//! Concurrent query throughput: `EngineSnapshot::query_batch` at 1, 2, and
 //! 4 worker threads over a warm sharded buffer pool. The single-mutex
 //! pool serialized every page touch, so multi-threaded batches used to
 //! run at single-thread speed; the sharded pool lets page accesses on
@@ -20,16 +20,17 @@ fn bench_query_batch(h: &mut Harness) {
         .into_iter()
         .map(|pq| engine.parse_query(pq.xpath).unwrap())
         .collect();
+    let snap = engine.snapshot();
     // Replicate the query set so each batch carries enough work to
     // amortize thread startup, then warm the pool once.
     let batch: Vec<TwigQuery> = (0..16).flat_map(|_| queries.iter().cloned()).collect();
-    engine.query_batch(&batch, 1).unwrap();
+    snap.query_batch(&batch, 1).unwrap();
 
     for threads in [1usize, 2, 4] {
-        let engine = &engine;
+        let snap = &snap;
         let batch = &batch;
         h.bench(&format!("query_batch_{threads}_threads"), move || {
-            let out = engine.query_batch(batch, threads).unwrap();
+            let out = snap.query_batch(batch, threads).unwrap();
             std::hint::black_box(out.len());
         });
     }

@@ -91,6 +91,7 @@ fn median_of(reports: &[Report], name: &str) -> std::time::Duration {
 
 fn main() {
     let engine = PrixEngine::build(skewed_collection(), EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
     let alts = BenchAlts::build(engine.collection());
     let mut syms = engine.collection().symbols().clone();
     let opts = ExecOpts::new();
@@ -111,7 +112,7 @@ fn main() {
     let mut chosen_labels = Vec::new();
     for (class, xpath, expect_prix) in classes {
         let q = prix_core::parse_xpath(xpath, &mut syms).unwrap();
-        let routed = engine.query_routed(&q, &opts, None, &alts).unwrap();
+        let routed = snap.query_routed(&q, &opts, None, &alts).unwrap();
         let chosen = routed.report.chosen;
         assert!(
             !routed.outcome.matches.is_empty(),
@@ -127,17 +128,17 @@ fn main() {
         chosen_labels.push((class, chosen.label()));
 
         h.bench(&format!("{class}/routed"), || {
-            let r = engine.query_routed(&q, &opts, None, &alts).unwrap();
+            let r = snap.query_routed(&q, &opts, None, &alts).unwrap();
             std::hint::black_box(r.outcome.matches.len());
         });
         h.bench(&format!("{class}/forced_prix"), || {
-            let r = engine
+            let r = snap
                 .query_routed(&q, &opts, Some(EngineChoice::Prix), &alts)
                 .unwrap();
             std::hint::black_box(r.outcome.matches.len());
         });
         h.bench(&format!("{class}/forced_{}", chosen.label()), || {
-            let r = engine
+            let r = snap
                 .query_routed(&q, &opts, Some(EngineChoice::Forced(chosen)), &alts)
                 .unwrap();
             std::hint::black_box(r.outcome.matches.len());

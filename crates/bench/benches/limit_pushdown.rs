@@ -36,6 +36,7 @@ fn main() {
     let engine = PrixEngine::build(high_fanout_collection(2000), EngineConfig::default()).unwrap();
     let mut syms = engine.collection().symbols().clone();
     let q = prix_core::parse_xpath("//a/b", &mut syms).unwrap();
+    let snap = engine.snapshot();
 
     let cases: [(&str, ExecOpts); 3] = [
         ("limit_1", ExecOpts::new().with_limit(1)),
@@ -50,7 +51,7 @@ fn main() {
     });
     for (name, opts) in &cases {
         h.bench(&format!("query/{name}"), || {
-            std::hint::black_box(engine.query_opts(&q, opts).unwrap().matches.len());
+            std::hint::black_box(snap.query_opts(&q, opts).unwrap().matches.len());
         });
     }
     h.finish();
@@ -61,7 +62,7 @@ fn main() {
     let mut reads = Vec::new();
     for (name, opts) in &cases {
         engine.clear_cache().unwrap();
-        let out = engine.query_opts(&q, opts).unwrap();
+        let out = snap.query_opts(&q, opts).unwrap();
         reads.push(out.io.logical_reads);
         rows.push(format!(
             r#"  {{"case":"{name}","matches":{},"truncated":{},"range_queries":{},"nodes_scanned":{},"logical_reads":{},"physical_reads":{}}}"#,

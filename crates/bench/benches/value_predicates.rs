@@ -53,6 +53,7 @@ fn main() {
         seed: 42,
     });
     let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
     let mut syms = engine.collection().symbols().clone();
     let mut parse = |s: &str| prix_core::parse_xpath(s, &mut syms).unwrap();
 
@@ -76,10 +77,10 @@ fn main() {
     for (name, q) in &queries {
         let bare = q.without_preds();
         h.bench(&format!("{name}/predicate"), || {
-            std::hint::black_box(engine.query(q).unwrap().matches.len());
+            std::hint::black_box(snap.query(q).unwrap().matches.len());
         });
         h.bench(&format!("{name}/post_filter"), || {
-            let mut out = engine.query(&bare).unwrap();
+            let mut out = snap.query(&bare).unwrap();
             post_filter(&engine, q, &mut out.matches);
             std::hint::black_box(out.matches.len());
         });
@@ -92,10 +93,10 @@ fn main() {
     for k in [1usize, 10] {
         let opts = ExecOpts::new().with_limit(k);
         h.bench(&format!("limit_{k}/predicate"), || {
-            std::hint::black_box(engine.query_opts(selective, &opts).unwrap().matches.len());
+            std::hint::black_box(snap.query_opts(selective, &opts).unwrap().matches.len());
         });
         h.bench(&format!("limit_{k}/post_filter"), || {
-            let mut out = engine.query(&bare).unwrap();
+            let mut out = snap.query(&bare).unwrap();
             post_filter(&engine, selective, &mut out.matches);
             out.matches.truncate(k);
             std::hint::black_box(out.matches.len());
@@ -112,7 +113,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut cold = |name: &str, q: &TwigQuery, opts: &ExecOpts, filter_with: Option<&TwigQuery>| {
         engine.clear_cache().unwrap();
-        let mut out = engine.query_opts(q, opts).unwrap();
+        let mut out = snap.query_opts(q, opts).unwrap();
         if let Some(fq) = filter_with {
             post_filter(&engine, fq, &mut out.matches);
             if let Some(k) = opts.limit {
@@ -144,7 +145,7 @@ fn main() {
     let lim = ExecOpts::new().with_limit(10);
     let (_, r_pred_lim) = cold("limit_10/predicate", selective, &lim, None);
     engine.clear_cache().unwrap();
-    let mut out = engine.query(&bare).unwrap();
+    let mut out = snap.query(&bare).unwrap();
     let r_base_lim = out.io.logical_reads;
     post_filter(&engine, selective, &mut out.matches);
     out.matches.truncate(10);

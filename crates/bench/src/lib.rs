@@ -179,11 +179,7 @@ impl Workbench {
             id: id.to_string(),
             xpath: xpath.to_string(),
             prix,
-            prix_index: self
-                .prix
-                .pick_index(&q)
-                .map(|i| i.kind().to_string())
-                .unwrap_or_else(|_| "-".into()),
+            prix_index: out.index_used.to_string(),
             vist,
             vist_candidates: vist_out.stats.candidates,
             vist_false_alarms: vist_out.stats.false_alarms,

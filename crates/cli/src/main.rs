@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use prix_core::plan::EngineChoice;
-use prix_core::{EngineConfig, ExecOpts, LabelingMode, PrixEngine, SharedEngine};
+use prix_core::{EngineConfig, ExecOpts, LabelingMode, PrixEngine};
 use prix_server::{AltCache, Server, ServerConfig, SnapshotAlts};
 use prix_xml::{write_document, Collection};
 
@@ -251,7 +251,7 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     let engine = PrixEngine::reopen(db, 2000).map_err(|e| e.to_string())?;
     // The server's read path: a snapshot, with the alternative engines
     // built lazily, one substrate at a time, by the server's cache.
-    let snap = SharedEngine::new(engine).snapshot();
+    let snap = engine.snapshot();
     let q = snap.parse_query(xpath).map_err(|e| e.to_string())?;
     let out = if unordered {
         snap.query_unordered_opts(&q, &opts)
@@ -394,9 +394,15 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let [db, xpath] = args else {
         return Err(usage_err("explain needs <db.prix> and \"<xpath>\""));
     };
-    let mut engine = PrixEngine::reopen(db, 2000).map_err(|e| e.to_string())?;
-    let q = engine.parse_query(xpath).map_err(|e| e.to_string())?;
-    print!("{}", engine.explain(&q).map_err(|e| e.to_string())?);
+    let engine = PrixEngine::reopen(db, 2000).map_err(|e| e.to_string())?;
+    // The same `EngineSnapshot::explain` that serves `GET /explain`.
+    print!(
+        "{}",
+        engine
+            .snapshot()
+            .explain(xpath)
+            .map_err(|e| e.to_string())?
+    );
     Ok(())
 }
 

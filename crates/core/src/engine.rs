@@ -1,31 +1,30 @@
-//! The PRIX engine: both indexes plus the §5.6 query optimizer.
+//! The PRIX engine: both indexes, their segment tiers, and the write
+//! path (build, ingest, save, compaction).
 //!
 //! "In the PRIX system, both RPIndex and EPIndex can coexist. A query
 //! optimizer can choose either of the indexes based on the presence or
-//! absence of values in twig queries." [`PrixEngine::query`] implements
-//! exactly that routing, and [`PrixEngine::query_unordered`] adds the
-//! §5.7 branch-arrangement loop.
+//! absence of values in twig queries." Every read goes through an
+//! [`EngineSnapshot`] ([`PrixEngine::snapshot`]), which implements that
+//! routing, the §5.7 branch-arrangement loop, and the cost-based
+//! router.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use prix_storage::{
-    recover, BufferPool, FileSegEnv, FileStore, IoScope, IoSnapshot, IoStats, Manifest,
-    ManifestSegment, MemSegEnv, Pager, RawStore, RecordId, RecordStore, RecoveryReport,
-    SegmentCheck, SegmentEnv, SegmentReader, Wal, PAGE_SIZE, SEG_KIND_EP, SEG_KIND_RP,
+    recover, BufferPool, FileSegEnv, FileStore, IoSnapshot, IoStats, Manifest, ManifestSegment,
+    MemSegEnv, Pager, RawStore, RecordId, RecordStore, RecoveryReport, SegmentCheck, SegmentEnv,
+    SegmentReader, Wal, PAGE_SIZE, SEG_KIND_EP, SEG_KIND_RP,
 };
-use prix_xml::{Collection, PostNum, Sym, SymbolTable};
+use prix_xml::{Collection, Sym, SymbolTable};
 
-use crate::arrange::arrangements;
-use crate::index::{ExecOpts, IndexError, IndexKind, PrixIndex, QueryStats, Result, TwigMatch};
-use crate::plan::{
-    AltProvider, EngineChoice, EngineId, Planner, PlannerStats, PrixBackend, Routed, Router,
-};
+use crate::index::{IndexError, IndexKind, PrixIndex, QueryStats, Result, TwigMatch};
+use crate::plan::{EngineId, Planner, PlannerStats};
 use crate::query::TwigQuery;
+use crate::snapshot::EngineSnapshot;
 use crate::trie::LabelingMode;
-use crate::valix::{PredEval, Valix, ValixEntry};
+use crate::valix::{Valix, ValixEntry};
 use crate::xpath::{parse_xpath, XPathError};
 
 /// Version of the catalog-page layout written by [`PrixEngine::save`].
@@ -123,35 +122,6 @@ pub(crate) struct SegTier {
     pub(crate) ep: Option<PrixIndex>,
     pub(crate) doc_base: u32,
     pub(crate) n_docs: u32,
-}
-
-/// One tier's index pair as seen by the shared query paths: the same
-/// `(rp, ep)` shape [`pick_index_from`] routes over.
-pub(crate) type TierRefs<'a> = (Option<&'a PrixIndex>, Option<&'a PrixIndex>);
-
-/// Builds the tier list a query descends: segments in ascending
-/// `doc_base` order, then the mutable delta. The mutable tier joins
-/// only when it has documents (or when there is nothing else): an
-/// empty delta would re-run every trie descent for zero candidates,
-/// and — worse — flip the conservative truncation flag for limited
-/// queries. Omitting it keeps a freshly bulk-built or just-compacted
-/// engine bit-identical to a single-tier engine over the same
-/// documents, which is the property the `bulk_equals_incremental`
-/// suite pins.
-pub(crate) fn collect_tiers<'a>(
-    segments: &'a [SegTier],
-    rp: Option<&'a PrixIndex>,
-    ep: Option<&'a PrixIndex>,
-) -> Vec<TierRefs<'a>> {
-    let mut tiers: Vec<TierRefs<'a>> = segments
-        .iter()
-        .map(|t| (t.rp.as_ref(), t.ep.as_ref()))
-        .collect();
-    let mutable_docs = rp.or(ep).map_or(0, |i| i.doc_count());
-    if tiers.is_empty() || mutable_docs > 0 {
-        tiers.push((rp, ep));
-    }
-    tiers
 }
 
 /// Everything a query execution reports.
@@ -428,16 +398,6 @@ impl PrixEngine {
         self.pool.clear().map_err(IndexError::Storage)
     }
 
-    /// Picks the index for a query (§5.6's optimizer rule). On a
-    /// tiered engine this reports the choice for the *first* tier —
-    /// every tier routes the same way, but only a tier with documents
-    /// has meaningful MaxGap values for [`PrixEngine::explain`].
-    pub fn pick_index(&self, q: &TwigQuery) -> Result<&PrixIndex> {
-        let tiers = self.tiers();
-        let (rp, ep) = tiers[0];
-        pick_index_from(rp, ep, q)
-    }
-
     /// Persists the engine so [`PrixEngine::reopen`] can load it from
     /// the backing file: index metadata and the symbol table go into
     /// the shared store, their locations into the reserved catalog page
@@ -680,8 +640,7 @@ impl PrixEngine {
             syms.intern(name);
             off += len;
         }
-        let mut collection = Collection::new();
-        *collection.symbols_mut() = syms;
+        let collection = Collection::with_symbols(Arc::new(syms));
         let rp = (rp_meta != 0)
             .then(|| PrixIndex::load(Arc::clone(&pool), RecordId::from_raw(rp_meta)))
             .transpose()?;
@@ -870,8 +829,7 @@ impl PrixEngine {
         segments: Vec<ManifestSegment>,
         valix_entries: Vec<ValixEntry>,
     ) -> Result<Self> {
-        let mut collection = Collection::new();
-        *collection.symbols_mut() = syms;
+        let collection = Collection::with_symbols(Arc::new(syms));
         let n_docs: u32 = segments
             .iter()
             .map(|s| s.doc_base + s.n_docs)
@@ -960,9 +918,8 @@ impl PrixEngine {
             });
         }
         // (2) The replacement mutable generation: empty, same symbol
-        // table, same configuration, fresh files.
-        let mut collection = Collection::new();
-        *collection.symbols_mut() = self.collection.symbols().clone();
+        // table (shared, not copied), same configuration, fresh files.
+        let collection = Collection::with_symbols(Arc::clone(self.collection.shared_symbols()));
         let cfg = EngineConfig {
             buffer_pages: self.buffer_pages,
             labeling: self.labeling,
@@ -1081,12 +1038,6 @@ impl PrixEngine {
         Ok(out)
     }
 
-    /// The tier list queries descend (segments first, mutable delta
-    /// last; see [`collect_tiers`]).
-    fn tiers(&self) -> Vec<TierRefs<'_>> {
-        collect_tiers(&self.segments, self.rp.as_ref(), self.ep.as_ref())
-    }
-
     /// Parses `xml` and incrementally indexes it into every built
     /// index (§5.2.1 dynamic labeling in action). Use
     /// [`LabelingMode::Dynamic`] at build time to leave scope headroom;
@@ -1150,150 +1101,28 @@ impl PrixEngine {
         Ok(id)
     }
 
-    /// Describes the plan the optimizer would use for `q` (index
-    /// choice, sequences, edge constraints, MaxGap rules), followed by
-    /// the cost-based planner's ranked alternatives.
-    pub fn explain(&self, q: &TwigQuery) -> Result<String> {
-        let idx = self.pick_index(q)?;
-        let mut out = format!("index: {}\n", idx.kind());
-        out.push_str(&idx.explain(q, self.collection.symbols())?);
-        if let Some(pred) = self.pred_eval(q)? {
-            out.push_str(&explain_pred(q, &pred, self.collection.symbols()));
-        }
-        let caps = self.engine_caps();
-        let report = self.planner.decide(q, caps, &ExecOpts::default(), None)?;
-        out.push_str(&report.render());
-        Ok(out)
-    }
-
-    /// The engine capabilities the planner scores over: which PRIX
-    /// indexes exist, and whether the alternative engines could be
-    /// built (they replay documents out of the RP index, so every tier
-    /// must have one).
-    pub fn engine_caps(&self) -> crate::plan::EngineCaps {
-        let tiers = self.tiers();
-        let (rp, ep) = tiers[0];
-        let alt = tiers.iter().all(|(rp, _)| rp.is_some());
-        crate::plan::EngineCaps {
-            rp: rp.is_some(),
-            ep: ep.is_some(),
-            vist: alt,
-            twigstack: alt,
-        }
-    }
-
     /// The shared planner (snapshots and the serving layer feed
     /// observations back through it).
     pub fn planner(&self) -> &Arc<Planner> {
         &self.planner
     }
 
-    /// Plans and executes `q` through the cost-based router:
-    /// the planner scores every alternative, `forced` bypasses the
-    /// comparison, and the result is canonicalized (matches sorted by
-    /// `(doc, embedding)`) whatever engine ran.
-    pub fn query_routed(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-        forced: Option<EngineChoice>,
-        alts: &dyn AltProvider,
-    ) -> Result<Routed> {
-        Router {
-            planner: &self.planner,
-            prix: self,
-            alts,
-        }
-        .route(q, opts, forced)
+    /// An epoch-pinned, immutable view of this engine: the read path.
+    /// Capture is cheap — index handles, `Arc` clones of the symbol
+    /// table and planner, and one epoch pin — so a snapshot per read is
+    /// affordable.
+    pub fn snapshot(&self) -> EngineSnapshot {
+        EngineSnapshot::capture(self)
     }
 
-    /// Rebuilds the document trees from the RP index's stored
-    /// sequences ([`prix_prufer::reconstruct::tree_from_sequences`]), in global
-    /// document order across every tier. This is how the alternative
-    /// engines get a collection to encode on a reopened database,
-    /// whose in-memory collection is empty. All nodes come back as
-    /// elements (the RP encoding does not mark text nodes), which is
-    /// exactly what label-driven matching needs. Requires the RP index
-    /// in every tier.
-    pub fn reconstruct_collection(&self) -> Result<Collection> {
-        reconstruct_from_tiers(&self.tiers(), self.collection.symbols().clone())
-    }
-
-    /// Executes an ordered twig query.
+    /// Executes an ordered twig query through a fresh snapshot.
     pub fn query(&self, q: &TwigQuery) -> Result<QueryOutcome> {
-        self.query_opts(q, &ExecOpts::default())
-    }
-
-    /// Executes an ordered twig query with options. With
-    /// [`ExecOpts::limit`] set the query runs through the streaming
-    /// executor and stops pulling at the limit — the remaining trie
-    /// range queries and refinements never happen.
-    pub fn query_opts(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome> {
-        let pred = self.pred_eval(q)?;
-        run_query_opts(&self.tiers(), q, opts, pred.as_ref())
-    }
-
-    /// Executes a batch of ordered twig queries on up to `threads`
-    /// worker threads, returning one [`QueryOutcome`] per query in
-    /// input order. Workers pull queries from a shared atomic cursor,
-    /// so long and short queries balance across threads; all of them
-    /// read through the same sharded buffer pool.
-    ///
-    /// `threads` is clamped to `1..=queries.len()`: `threads == 0` is
-    /// treated as 1 (serial), never an empty worker set. With
-    /// `threads <= 1` (or a single query) this degenerates to the
-    /// serial loop. Each outcome's [`QueryOutcome::io`] is attributed
-    /// through a per-thread [`IoScope`], so it counts exactly the pages
-    /// that query touched — concurrent queries on other workers never
-    /// leak into it.
-    pub fn query_batch(&self, queries: &[TwigQuery], threads: usize) -> Result<Vec<QueryOutcome>> {
-        self.query_batch_opts(queries, threads, &ExecOpts::default())
-    }
-
-    /// [`PrixEngine::query_batch`] with per-query execution options
-    /// (each query gets the same `opts`, including any limit).
-    pub fn query_batch_opts(
-        &self,
-        queries: &[TwigQuery],
-        threads: usize,
-        opts: &ExecOpts,
-    ) -> Result<Vec<QueryOutcome>> {
-        run_query_batch(queries, threads, |q| self.query_opts(q, opts))
-    }
-
-    /// Executes an unordered twig query by running every distinct branch
-    /// arrangement (§5.7) and unioning the embeddings.
-    pub fn query_unordered(&self, q: &TwigQuery) -> Result<QueryOutcome> {
-        self.query_unordered_opts(q, &ExecOpts::default())
-    }
-
-    /// [`PrixEngine::query_unordered`] with execution options. With
-    /// [`ExecOpts::limit`] set, arrangements interleave through the
-    /// *shared* limit: each arrangement is streamed, distinct
-    /// base-numbered matches count against the one budget, and as soon
-    /// as it is reached the current stream is abandoned mid-trie and
-    /// the remaining arrangements never run at all.
-    pub fn query_unordered_opts(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome> {
-        let pred = self.pred_eval(q)?;
-        run_query_unordered(
-            &self.tiers(),
-            self.arrangement_limit,
-            q,
-            opts,
-            Some(&self.planner),
-            pred.as_ref(),
-        )
+        self.snapshot().query(q)
     }
 
     /// The value-predicate index, when this engine carries one.
     pub fn valix(&self) -> Option<&Valix> {
         self.valix.as_ref()
-    }
-
-    /// Resolves `q`'s value predicates against this engine's valix and
-    /// symbol table (`None` for predicate-free queries).
-    fn pred_eval(&self, q: &TwigQuery) -> Result<Option<PredEval>> {
-        PredEval::build(q, self.valix.as_ref(), self.collection.symbols())
     }
 
     /// The commit epoch this engine's durable state is at: the pager's
@@ -1380,370 +1209,12 @@ impl PrixEngine {
     }
 }
 
-impl PrixBackend for PrixEngine {
-    fn prix_caps(&self) -> (bool, bool) {
-        let tiers = self.tiers();
-        let (rp, ep) = tiers[0];
-        (rp.is_some(), ep.is_some())
-    }
-
-    fn execute_prix(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-        force: Option<IndexKind>,
-    ) -> Result<QueryOutcome> {
-        let pred = self.pred_eval(q)?;
-        run_query_forced(&self.tiers(), q, opts, force, pred.as_ref())
-    }
-}
-
 /// What [`PrixEngine::ingest_batch`] did, before epoch publication.
 pub struct IngestOutcome {
     /// Ids assigned to accepted documents, in input order.
     pub accepted: Vec<prix_xml::DocId>,
     /// `(input position, reason)` for each cleanly rejected document.
     pub rejected: Vec<(usize, String)>,
-}
-
-/// §5.6's optimizer rule over whatever index pair a view carries:
-/// value queries need the EPIndex; value-free queries prefer the
-/// RPIndex ("If twig queries have no values, then indexing
-/// Regular-Prüfer sequences is recommended").
-pub(crate) fn pick_index_from<'a>(
-    rp: Option<&'a PrixIndex>,
-    ep: Option<&'a PrixIndex>,
-    q: &TwigQuery,
-) -> Result<&'a PrixIndex> {
-    pick_index_forced(rp, ep, q, None)
-}
-
-/// [`pick_index_from`] with an optional forced index kind (the
-/// planner's RP-vs-EP choice, or `--engine prix_rp`/`prix_ep`).
-/// Forcing the RPIndex for a value query is refused — it cannot answer
-/// it — as is forcing an index that was not built.
-pub(crate) fn pick_index_forced<'a>(
-    rp: Option<&'a PrixIndex>,
-    ep: Option<&'a PrixIndex>,
-    q: &TwigQuery,
-    force: Option<IndexKind>,
-) -> Result<&'a PrixIndex> {
-    match force {
-        Some(IndexKind::Regular) => {
-            if q.needs_extended() {
-                return Err(IndexError::Unsupported(
-                    "value query cannot run on the RPIndex".into(),
-                ));
-            }
-            rp.ok_or_else(|| IndexError::Unsupported("the RPIndex was not built".into()))
-        }
-        Some(IndexKind::Extended) => {
-            ep.ok_or_else(|| IndexError::Unsupported("the EPIndex was not built".into()))
-        }
-        None => {
-            if q.needs_extended() {
-                ep.ok_or_else(|| {
-                    IndexError::Unsupported(
-                        "query requires the EPIndex, which was not built".into(),
-                    )
-                })
-            } else {
-                rp.or(ep)
-                    .ok_or_else(|| IndexError::Unsupported("no index was built".into()))
-            }
-        }
-    }
-}
-
-/// Rebuilds every document tree from the RP index's stored sequences,
-/// ascending through the tiers so collection ids equal global document
-/// ids. Shared by the engine and snapshot `reconstruct_collection`.
-pub(crate) fn reconstruct_from_tiers(
-    tiers: &[TierRefs<'_>],
-    syms: SymbolTable,
-) -> Result<Collection> {
-    let mut collection = Collection::new();
-    *collection.symbols_mut() = syms;
-    for &(rp, _) in tiers {
-        let rp = rp.ok_or_else(|| {
-            IndexError::Unsupported(
-                "reconstructing documents requires the RPIndex in every tier".into(),
-            )
-        })?;
-        let base = rp.doc_base();
-        for local in 0..rp.doc_count() as u32 {
-            let data = rp.load_doc(base + local, true)?;
-            let tree =
-                prix_prufer::reconstruct::tree_from_sequences(&data.lps, &data.nps, &data.leaves)
-                    .map_err(|e| {
-                    IndexError::Unsupported(format!("stored sequences are inconsistent: {e}"))
-                })?;
-            let id = collection.add_tree(tree);
-            debug_assert_eq!(id, base + local, "tiers ascend contiguously");
-        }
-    }
-    Ok(collection)
-}
-
-/// Shared ordered-query path: the engine runs it over its live tiers,
-/// a snapshot over its frozen clones (inside an epoch-pin guard).
-/// Tiers ascend by document base and matches come out per-tier in
-/// order, so concatenation preserves the global document order the
-/// single-tier executor produced. With a limit set each tier streams
-/// against the *remaining* budget and stops pulling once it is spent —
-/// later tiers (and the rest of the current one) never run their trie
-/// range queries at all.
-pub(crate) fn run_query_opts(
-    tiers: &[TierRefs<'_>],
-    q: &TwigQuery,
-    opts: &ExecOpts,
-    pred: Option<&PredEval>,
-) -> Result<QueryOutcome> {
-    run_query_forced(tiers, q, opts, None, pred)
-}
-
-/// [`run_query_opts`] with an optional forced index kind (the routed
-/// RP-vs-EP decision).
-pub(crate) fn run_query_forced(
-    tiers: &[TierRefs<'_>],
-    q: &TwigQuery,
-    opts: &ExecOpts,
-    force: Option<IndexKind>,
-    pred: Option<&PredEval>,
-) -> Result<QueryOutcome> {
-    let scope = IoScope::begin();
-    let start = Instant::now();
-    let mut matches: Vec<TwigMatch> = Vec::new();
-    let mut stats = QueryStats::default();
-    let mut index_used = IndexKind::Regular;
-    let mut truncated = false;
-    if let Some(k) = opts.limit {
-        let mut remaining = k;
-        for (i, &(rp, ep)) in tiers.iter().enumerate() {
-            if i > 0 && remaining == 0 {
-                // Budget exhausted with tiers left unexplored: more
-                // matches may exist (the same conservative flag a
-                // mid-stream stop reports).
-                truncated = true;
-                break;
-            }
-            let idx = pick_index_forced(rp, ep, q, force)?;
-            index_used = idx.kind();
-            let tier_opts = opts.with_limit(remaining);
-            let mut stream = idx.execute_stream_pred(q, &tier_opts, pred)?;
-            while let Some(m) = stream.next_match()? {
-                matches.push(m);
-                remaining -= 1;
-            }
-            let exhausted = stream.exhausted();
-            add_filter_counters(&mut stats, &stream.stats());
-            if !exhausted {
-                truncated = true;
-                break;
-            }
-        }
-    } else {
-        for &(rp, ep) in tiers {
-            let idx = pick_index_forced(rp, ep, q, force)?;
-            index_used = idx.kind();
-            let (m, s) = idx.execute_opts_pred(q, opts, pred)?;
-            matches.extend(m);
-            add_filter_counters(&mut stats, &s);
-        }
-    }
-    stats.matches = matches.len() as u64;
-    if let Some(p) = pred {
-        stats.valix_probes += p.probe.probes;
-        stats.valix_postings += p.probe.postings;
-    }
-    Ok(QueryOutcome {
-        matches,
-        stats,
-        index_used,
-        io: scope.end(),
-        elapsed: start.elapsed(),
-        truncated,
-        engine: EngineId::from_kind(index_used),
-    })
-}
-
-/// Shared batch driver: workers pull queries from an atomic cursor and
-/// run `exec_one` (which closes over the engine or snapshot view, and
-/// installs any per-thread pin guard itself).
-pub(crate) fn run_query_batch(
-    queries: &[TwigQuery],
-    threads: usize,
-    exec_one: impl Fn(&TwigQuery) -> Result<QueryOutcome> + Sync,
-) -> Result<Vec<QueryOutcome>> {
-    let threads = threads.max(1).min(queries.len().max(1));
-    if threads == 1 {
-        return queries.iter().map(&exec_one).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Result<QueryOutcome>>>> = queries
-        .iter()
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let next = &next;
-            let slots = &slots;
-            let exec_one = &exec_one;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= queries.len() {
-                    break;
-                }
-                let out = exec_one(&queries[i]);
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every query index was claimed by a worker")
-        })
-        .collect()
-}
-
-/// Shared unordered-query path (§5.7 arrangement loop with the shared
-/// limit and base-numbered dedup). With a limit set and a planner
-/// available, arrangements run cheapest-estimated-first: the shared
-/// budget fills from the arrangements expected to drain (or fail)
-/// fastest. Without a limit the order is left alone — every
-/// arrangement runs to completion anyway, and keeping the stock order
-/// keeps the concatenated match vector bit-identical to older builds.
-pub(crate) fn run_query_unordered(
-    tiers: &[TierRefs<'_>],
-    arrangement_limit: usize,
-    q: &TwigQuery,
-    opts: &ExecOpts,
-    planner: Option<&Planner>,
-    pred: Option<&PredEval>,
-) -> Result<QueryOutcome> {
-    let mut arrs =
-        arrangements(q, arrangement_limit).map_err(|e| IndexError::Unsupported(e.to_string()))?;
-    if let (Some(planner), Some(_)) = (planner, opts.limit) {
-        let queries: Vec<TwigQuery> = arrs.iter().map(|a| a.query.clone()).collect();
-        let order = planner.rank_arrangements(&queries);
-        let mut reordered = Vec::with_capacity(arrs.len());
-        let mut taken: Vec<Option<_>> = arrs.into_iter().map(Some).collect();
-        for i in order {
-            reordered.push(taken[i].take().expect("permutation visits each index once"));
-        }
-        arrs = reordered;
-    }
-    let scope = IoScope::begin();
-    let start = Instant::now();
-    let mut stats = QueryStats::default();
-    let mut index_used = IndexKind::Regular;
-    let mut seen: std::collections::HashSet<(u32, Vec<PostNum>)> = std::collections::HashSet::new();
-    let mut matches: Vec<TwigMatch> = Vec::new();
-    let mut truncated = false;
-    // Dedup across arrangements makes a per-stream limit unsound
-    // (k matches from one arrangement may collapse with earlier
-    // ones), so each arrangement streams unlimited and the shared
-    // countdown is enforced on distinct base-numbered matches. Tiers
-    // nest inside the arrangement loop; the final sort re-establishes
-    // global order either way.
-    let arr_opts = opts.without_limit();
-    'arrs: for arr in &arrs {
-        // Arrangements strip predicates from their queries (the
-        // structural twig is what gets rearranged), so the evaluator is
-        // renumbered to each arrangement's postorders instead.
-        let arr_pred = pred.map(|p| p.remap(&arr.base_of));
-        for &(rp, ep) in tiers {
-            let idx = pick_index_from(rp, ep, &arr.query)?;
-            index_used = idx.kind();
-            let mut stream = idx.execute_stream_pred(&arr.query, &arr_opts, arr_pred.as_ref())?;
-            while let Some(m) = stream.next_match()? {
-                // Re-map the arrangement's postorder numbering back to
-                // the base query's.
-                let mut base_emb = vec![0 as PostNum; m.embedding.len()];
-                for (arr_q, &img) in m.embedding.iter().enumerate() {
-                    let base_q = arr.base_of[arr_q];
-                    base_emb[(base_q - 1) as usize] = img;
-                }
-                if seen.insert((m.doc, base_emb.clone())) {
-                    matches.push(TwigMatch {
-                        doc: m.doc,
-                        embedding: base_emb,
-                    });
-                    if opts.limit.map_or(false, |k| matches.len() >= k) {
-                        let s = stream.stats();
-                        add_filter_counters(&mut stats, &s);
-                        truncated = true;
-                        break 'arrs;
-                    }
-                }
-            }
-            let s = stream.stats();
-            add_filter_counters(&mut stats, &s);
-        }
-    }
-    matches.sort();
-    stats.matches = matches.len() as u64;
-    if let Some(p) = pred {
-        stats.valix_probes += p.probe.probes;
-        stats.valix_postings += p.probe.postings;
-    }
-    Ok(QueryOutcome {
-        matches,
-        stats,
-        index_used,
-        io: scope.end(),
-        elapsed: start.elapsed(),
-        truncated,
-        engine: EngineId::from_kind(index_used),
-    })
-}
-
-/// Renders the `/explain` lines for a predicate query: one line per
-/// predicate plus the valix probe's estimated selectivity. Predicate-
-/// free queries never reach this (their explain output is pinned).
-pub(crate) fn explain_pred(q: &TwigQuery, pred: &PredEval, syms: &SymbolTable) -> String {
-    let mut out = String::new();
-    for p in q.preds() {
-        out.push_str(&format!(
-            "predicate: {}{{{}}}\n",
-            syms.name(q.tree().label(p.node)),
-            p.render_op()
-        ));
-    }
-    match pred.estimate() {
-        Some((n, covered)) if covered > 0 => {
-            out.push_str(&format!(
-                "valix: probe passes {n}/{covered} docs (estimated selectivity {:.2}%)\n",
-                (n as f64 / covered as f64) * 100.0
-            ));
-        }
-        Some((n, _)) => {
-            out.push_str(&format!("valix: probe passes {n} docs (nothing indexed)\n"));
-        }
-        None => {
-            out.push_str("valix: no probeable predicate (verification only)\n");
-        }
-    }
-    out
-}
-
-/// Accumulates one arrangement's pipeline stats into the union's
-/// (everything except `matches`, which counts distinct base-numbered
-/// embeddings across all arrangements).
-fn add_filter_counters(total: &mut QueryStats, s: &QueryStats) {
-    total.range_queries += s.range_queries;
-    total.nodes_scanned += s.nodes_scanned;
-    total.maxgap_pruned += s.maxgap_pruned;
-    total.candidates += s.candidates;
-    total.refined += s.refined;
-    total.filter_time += s.filter_time;
-    total.refine_time += s.refine_time;
-    total.project_time += s.project_time;
-    total.pred_skipped += s.pred_skipped;
-    total.pred_rejected += s.pred_rejected;
 }
 
 #[cfg(test)]
@@ -1792,7 +1263,7 @@ mod tests {
         assert_eq!(ordered.matches.len(), 1);
         assert_eq!(ordered.matches[0].doc, 0);
         // Unordered: both docs.
-        let unordered = e.query_unordered(&q).unwrap();
+        let unordered = e.snapshot().query_unordered(&q).unwrap();
         assert_eq!(unordered.matches.len(), 2);
     }
 
@@ -1802,7 +1273,7 @@ mod tests {
         let q = e
             .parse_query(r#"//inproceedings[./author="Jim Gray"][./year="1990"]"#)
             .unwrap();
-        let out = e.query_unordered(&q).unwrap();
+        let out = e.snapshot().query_unordered(&q).unwrap();
         let syms = e.collection().symbols();
         let author = syms.lookup("author").unwrap();
         for m in &out.matches {
@@ -1882,17 +1353,15 @@ mod tests {
 
     #[test]
     fn explain_describes_the_plan() {
-        let mut e = engine();
-        let q = e.parse_query("//www[./editor]/url").unwrap();
-        let text = e.explain(&q).unwrap();
+        let snap = engine().snapshot();
+        let text = snap.explain("//www[./editor]/url").unwrap();
         assert!(text.contains("RPIndex"), "{text}");
         assert!(text.contains("leaf-extended"), "{text}");
         assert!(text.contains("LPS(Q)"), "{text}");
         assert!(text.contains("MaxGap rules"), "{text}");
-        let qv = e
-            .parse_query(r#"//inproceedings[./author="Jim Gray"]"#)
+        let tv = snap
+            .explain(r#"//inproceedings[./author="Jim Gray"]"#)
             .unwrap();
-        let tv = e.explain(&qv).unwrap();
         assert!(tv.contains("EPIndex"), "{tv}");
     }
 
@@ -1933,10 +1402,9 @@ mod tests {
         // normalized — see `normalize_explain`) for one path query and
         // one twig query so refactors can't silently change the
         // contract.
-        let mut e = engine();
-        let path_q = e.parse_query("/dblp/www/url").unwrap();
+        let snap = engine().snapshot();
         assert_eq!(
-            normalize_explain(&e.explain(&path_q).unwrap()),
+            normalize_explain(&snap.explain("/dblp/www/url").unwrap()),
             "index: RPIndex\n\
              plan: RPIndex, leaf-extended query (§# fast path)\n\
              LPS(Q) = url www dblp\n\
@@ -1955,9 +1423,8 @@ mod tests {
              \x20alt twigstackxb cost= #us\n\
              \x20alt vist cost= #us\n"
         );
-        let twig_q = e.parse_query("//www[./editor]/url").unwrap();
         assert_eq!(
-            normalize_explain(&e.explain(&twig_q).unwrap()),
+            normalize_explain(&snap.explain("//www[./editor]/url").unwrap()),
             "index: RPIndex\n\
              plan: RPIndex, leaf-extended query (§# fast path)\n\
              LPS(Q) = editor www url www\n\
@@ -2109,7 +1576,7 @@ mod tests {
             .map(|q| e.query(q).unwrap().matches)
             .collect();
         for threads in [1, 2, 4, 16] {
-            let batch = e.query_batch(&queries, threads).unwrap();
+            let batch = e.snapshot().query_batch(&queries, threads).unwrap();
             assert_eq!(batch.len(), queries.len());
             for (i, out) in batch.iter().enumerate() {
                 assert_eq!(out.matches, serial[i], "threads={threads} query {i}");
@@ -2125,13 +1592,13 @@ mod tests {
         let mut e = engine();
         let xpaths = ["//www[./editor]/url", "//dblp//year"];
         let queries: Vec<_> = xpaths.iter().map(|x| e.parse_query(x).unwrap()).collect();
-        let batch = e.query_batch(&queries, 0).unwrap();
+        let batch = e.snapshot().query_batch(&queries, 0).unwrap();
         assert_eq!(batch.len(), queries.len());
         for (q, out) in queries.iter().zip(&batch) {
             assert_eq!(out.matches, e.query(q).unwrap().matches);
         }
         // Empty input with zero threads is a no-op, not a panic.
-        assert!(e.query_batch(&[], 0).unwrap().is_empty());
+        assert!(e.snapshot().query_batch(&[], 0).unwrap().is_empty());
     }
 
     #[test]
@@ -2148,7 +1615,7 @@ mod tests {
         let good = e.parse_query("//a/b").unwrap();
         let bad = e.parse_query(r#"//a[./b="v"]"#).unwrap();
         let queries = vec![good, bad];
-        assert!(e.query_batch(&queries, 2).is_err());
+        assert!(e.snapshot().query_batch(&queries, 2).is_err());
     }
 
     #[test]

@@ -21,10 +21,12 @@
 //! scans never run. That is what makes `LIMIT` a real pushdown instead
 //! of a post-hoc truncation.
 //!
-//! [`RefineStage`] is order-agnostic: [`PrixIndex::execute_opts`]
-//! drives it over sorted candidates (the historical contract, results
-//! bit-identical to the pre-streaming executor), while [`MatchStream`]
-//! drives it in trie-arrival order for streaming consumers.
+//! [`MatchStream`] is the only executor: [`PrixIndex::execute`]
+//! returns one, limited or not, and [`RefineStage`] only ever runs
+//! inside it, in trie-arrival order. Refinement is order-agnostic — the
+//! set of distinct matches does not depend on candidate order — so
+//! callers that drain a stream and sort by `(doc, embedding)` get the
+//! canonical answer.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
@@ -58,7 +60,7 @@ impl Frame {
 /// resumable cursor. Each [`CandidateCursor::next`] yields one
 /// `(doc, positions)` candidate pair in the same depth-first order the
 /// recursive formulation emitted them, then suspends.
-pub(crate) struct CandidateCursor<'a> {
+struct CandidateCursor<'a> {
     idx: &'a PrixIndex,
     lps: Vec<Sym>,
     rules: Vec<Option<GapRule>>,
@@ -76,12 +78,7 @@ pub(crate) struct CandidateCursor<'a> {
 }
 
 impl<'a> CandidateCursor<'a> {
-    pub(crate) fn new(
-        idx: &'a PrixIndex,
-        lps: Vec<Sym>,
-        rules: Vec<Option<GapRule>>,
-        use_fine: bool,
-    ) -> Self {
+    fn new(idx: &'a PrixIndex, lps: Vec<Sym>, rules: Vec<Option<GapRule>>, use_fine: bool) -> Self {
         let cap = lps.len();
         CandidateCursor {
             idx,
@@ -99,19 +96,19 @@ impl<'a> CandidateCursor<'a> {
 
     /// Filter-stage counters accumulated so far (`range_queries`,
     /// `nodes_scanned`, `maxgap_pruned`, `filter_time`).
-    pub(crate) fn stats(&self) -> QueryStats {
+    fn stats(&self) -> QueryStats {
         self.stats
     }
 
     /// `true` once the whole trie descent has been drained. A cursor
     /// abandoned mid-descent (limit hit) never becomes exhausted.
-    pub(crate) fn exhausted(&self) -> bool {
+    fn exhausted(&self) -> bool {
         self.done
     }
 
     /// Pulls the next `(doc, positions)` candidate, resuming the
     /// descent where the previous pull suspended.
-    pub(crate) fn next(&mut self) -> Result<Option<(DocId, &[PostNum])>> {
+    fn next(&mut self) -> Result<Option<(DocId, &[PostNum])>> {
         let t0 = Instant::now();
         let res = self.advance();
         self.stats.filter_time += t0.elapsed();
@@ -200,7 +197,7 @@ impl<'a> CandidateCursor<'a> {
 /// wins). The per-document [`DocData`] cache survives across
 /// candidates, and dedup hashes per-document embedding sets so a
 /// duplicate costs a lookup, not a clone.
-pub(crate) struct RefineStage<'a> {
+struct RefineStage<'a> {
     idx: &'a PrixIndex,
     cache: HashMap<DocId, DocData>,
     seen: HashMap<DocId, HashSet<Vec<PostNum>>>,
@@ -208,13 +205,13 @@ pub(crate) struct RefineStage<'a> {
     /// positional predicate verification needs them.
     force_leaves: bool,
     /// Candidates surviving all refinement phases.
-    pub(crate) refined: u64,
-    pub(crate) refine_time: Duration,
-    pub(crate) project_time: Duration,
+    refined: u64,
+    refine_time: Duration,
+    project_time: Duration,
 }
 
 impl<'a> RefineStage<'a> {
-    pub(crate) fn new(idx: &'a PrixIndex, force_leaves: bool) -> Self {
+    fn new(idx: &'a PrixIndex, force_leaves: bool) -> Self {
         RefineStage {
             idx,
             cache: HashMap::new(),
@@ -227,14 +224,14 @@ impl<'a> RefineStage<'a> {
     }
 
     /// The cached per-document data for a document already processed.
-    pub(crate) fn doc_data(&self, doc: DocId) -> Option<&DocData> {
+    fn doc_data(&self, doc: DocId) -> Option<&DocData> {
         self.cache.get(&doc)
     }
 
     /// Runs one candidate through refinement, projection, the
     /// absolute-root check, and dedup. Returns the match if the
     /// candidate survives everything and is new.
-    pub(crate) fn process(
+    fn process(
         &mut self,
         plan: &QueryPlan,
         absolute: bool,
@@ -287,9 +284,9 @@ impl<'a> RefineStage<'a> {
     }
 }
 
-/// The composed streaming pipeline behind
-/// [`PrixIndex::execute_stream`]: cursor → refine → project, with
-/// limit pushdown. Matches arrive in trie-traversal order.
+/// The composed streaming pipeline behind [`PrixIndex::execute`]:
+/// cursor → refine → project, with limit pushdown. Matches arrive in
+/// trie-traversal order.
 pub struct MatchStream<'a> {
     cursor: CandidateCursor<'a>,
     stage: RefineStage<'a>,

@@ -27,10 +27,12 @@ use prix_prufer::{EdgeKind, ExtendedTree, MaxGapTable, PruferSeq};
 use prix_storage::{
     BPlusTree, BufferPool, RecordId, RecordStore, SegmentReader, StorageError, SEG_KIND_RP,
 };
-use prix_xml::{Collection, DocId, PostNum, Sym, XmlTree};
+use prix_xml::{Collection, DocId, PostNum, ScratchSyms, Sym, XmlTree};
 
+use crate::exec::MatchStream;
 use crate::query::TwigQuery;
 use crate::trie::{LabelingMode, VirtualTrie};
+use crate::valix::PredEval;
 
 /// Which sequence flavor an index stores (§5.6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,7 +144,8 @@ impl QueryStats {
 }
 
 /// Execution options: the MaxGap toggles back the §5.4 ablation bench,
-/// `limit` drives LIMIT pushdown through the streaming executor.
+/// `limit` drives LIMIT pushdown through the streaming executor
+/// ([`PrixIndex::execute`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOpts {
     /// Apply the Theorem 4 pruning during subsequence matching.
@@ -154,9 +157,8 @@ pub struct ExecOpts {
     pub use_fine_maxgap: bool,
     /// Stop after this many distinct matches. `None` = unlimited. With
     /// a limit the executor stops *pulling* — remaining trie range
-    /// queries, docid scans, and refinements never run — and matches
-    /// arrive in trie-traversal order rather than sorted candidate
-    /// order.
+    /// queries, docid scans, and refinements never run. Which matches
+    /// make the cut follows trie-traversal order.
     pub limit: Option<usize>,
 }
 
@@ -757,15 +759,10 @@ impl PrixIndex {
         }
     }
 
-    /// Executes an ordered twig query with default options.
-    pub fn execute(&self, q: &TwigQuery) -> Result<(Vec<TwigMatch>, QueryStats)> {
-        self.execute_opts(q, &ExecOpts::default())
-    }
-
     /// Describes how this index would run `q`: the plan flavor, the
     /// query's Prüfer sequences, edge constraints, and the Theorem 4
     /// pruning rules.
-    pub fn explain(&self, q: &TwigQuery, syms: &prix_xml::SymbolTable) -> Result<String> {
+    pub fn explain(&self, q: &TwigQuery, syms: &ScratchSyms<'_>) -> Result<String> {
         let plan = self.plan(q)?;
         let mut out = String::new();
         let flavor = match (&self.kind, plan.ext_of_orig.is_some()) {
@@ -817,211 +814,79 @@ impl PrixIndex {
         Ok(out)
     }
 
-    /// Executes an ordered twig query.
-    ///
-    /// Without a limit this preserves the historical contract exactly:
-    /// all candidates are drained from the [`crate::exec::CandidateCursor`],
-    /// sorted by `(doc, positions)` so per-document record loads batch
-    /// up, then refined in that order — results, ordering, and every
-    /// [`QueryStats`] counter are identical to the pre-streaming
-    /// executor. With `opts.limit` set, execution goes through
-    /// [`PrixIndex::execute_stream`] and stops pulling at the limit, so
-    /// matches arrive in trie-traversal order and the filter counters
-    /// reflect only the work actually performed.
-    pub fn execute_opts(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-    ) -> Result<(Vec<TwigMatch>, QueryStats)> {
-        self.execute_opts_pred(q, opts, None)
-    }
-
-    /// [`PrixIndex::execute_opts`] with a value-predicate evaluator:
-    /// candidates from documents the valix pre-filter rules out are
-    /// skipped before refinement, and every emitted match passes the
-    /// evaluator's positional verification — results are exactly the
-    /// predicate-free results post-filtered.
-    pub fn execute_opts_pred(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-        pred: Option<&crate::valix::PredEval>,
-    ) -> Result<(Vec<TwigMatch>, QueryStats)> {
-        if opts.limit.is_some() {
-            let mut stream = self.execute_stream_pred(q, opts, pred)?;
-            let mut matches = Vec::new();
-            while let Some(m) = stream.next_match()? {
-                matches.push(m);
-            }
-            return Ok((matches, stream.stats()));
-        }
-
-        let plan = self.plan(q)?;
-        if plan.seq.is_empty() {
-            return Err(IndexError::Unsupported(
-                "query has an empty Prüfer sequence (single-node query on RPIndex)".into(),
-            ));
-        }
-
-        // Phase 1: filtering by subsequence matching (Algorithm 1),
-        // fully drained.
-        let rules = if opts.use_maxgap {
-            self.gap_rules(&plan)
-        } else {
-            vec![None; plan.seq.len().saturating_sub(1)]
-        };
-        let mut cursor = crate::exec::CandidateCursor::new(
-            self,
-            plan.seq.lps.clone(),
-            rules,
-            opts.use_fine_maxgap,
-        );
-        let mut pred_skipped = 0u64;
-        let mut candidates: Vec<(DocId, Vec<PostNum>)> = Vec::new();
-        while let Some((doc, pos)) = cursor.next()? {
-            // Predicate pre-filter: documents the valix probe ruled out
-            // cannot pass the positional verification below.
-            if let Some(p) = pred {
-                if !p.allows(doc) {
-                    pred_skipped += 1;
-                    continue;
-                }
-            }
-            candidates.push((doc, pos.to_vec()));
-        }
-        let mut stats = cursor.stats();
-        stats.candidates = candidates.len() as u64;
-        stats.pred_skipped = pred_skipped;
-
-        // Phase 2: refinement (Algorithm 2), grouped per document so the
-        // NPS / LPS / leaf records are fetched once.
-        candidates.sort();
-        let mut stage = crate::exec::RefineStage::new(self, pred.is_some());
-        let mut matches: Vec<TwigMatch> = Vec::new();
-        for (doc, positions) in &candidates {
-            if let Some(m) = stage.process(&plan, q.is_absolute(), *doc, positions)? {
-                if let Some(p) = pred {
-                    let data = stage.doc_data(*doc).expect("process() cached this doc");
-                    if !p.matches(data, &m.embedding) {
-                        stats.pred_rejected += 1;
-                        continue;
-                    }
-                }
-                matches.push(m);
-            }
-        }
-        stats.refined = stage.refined;
-        stats.refine_time = stage.refine_time;
-        stats.project_time = stage.project_time;
-        stats.matches = matches.len() as u64;
-        Ok((matches, stats))
-    }
-
     /// Executes an ordered twig query as a pull-based stream: one
-    /// [`crate::exec::MatchStream::next_match`] call pulls exactly as
-    /// much trie traversal and refinement as needed to produce the next
-    /// distinct match. Dropping the stream (or hitting `opts.limit`)
-    /// abandons the remaining trie descent — that is the LIMIT
-    /// pushdown. Matches arrive in trie-traversal (document-filter)
-    /// order.
-    pub fn execute_stream(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-    ) -> Result<crate::exec::MatchStream<'_>> {
-        self.execute_stream_pred(q, opts, None)
-    }
-
-    /// [`PrixIndex::execute_stream`] with a value-predicate evaluator
-    /// (see [`PrixIndex::execute_opts_pred`]). The evaluator must
-    /// outlive the stream.
-    pub fn execute_stream_pred<'a>(
+    /// [`MatchStream::next_match`] call pulls exactly as much trie
+    /// traversal and refinement as needed to produce the next distinct
+    /// match. Dropping the stream (or hitting `opts.limit`) abandons the
+    /// remaining trie descent — that is the LIMIT pushdown. Matches
+    /// arrive in trie-traversal (document-filter) order; callers that
+    /// need the canonical `(doc, embedding)` order sort the drained
+    /// matches.
+    ///
+    /// With a value-predicate evaluator, candidates from documents the
+    /// valix pre-filter rules out are skipped before refinement, and
+    /// every emitted match passes the evaluator's positional
+    /// verification — results are exactly the predicate-free results
+    /// post-filtered. The evaluator must outlive the stream.
+    pub fn execute<'a>(
         &'a self,
         q: &TwigQuery,
         opts: &ExecOpts,
-        pred: Option<&'a crate::valix::PredEval>,
-    ) -> Result<crate::exec::MatchStream<'a>> {
+        pred: Option<&'a PredEval>,
+    ) -> Result<MatchStream<'a>> {
         let plan = self.plan(q)?;
         if plan.seq.is_empty() {
             return Err(IndexError::Unsupported(
                 "query has an empty Prüfer sequence (single-node query on RPIndex)".into(),
             ));
         }
-        Ok(crate::exec::MatchStream::new(
-            self,
-            plan,
-            q.is_absolute(),
-            opts,
-            pred,
-        ))
+        Ok(MatchStream::new(self, plan, q.is_absolute(), opts, pred))
     }
 
     /// Prepares the sequences / edges / leaves for this index kind.
     pub(crate) fn plan(&self, q: &TwigQuery) -> Result<QueryPlan> {
-        match self.kind {
-            IndexKind::Regular => {
-                if q.needs_extended() {
-                    return Err(IndexError::Unsupported(
-                        "query requires the EPIndex (values, single node, or wildcard above a leaf)"
-                            .into(),
-                    ));
-                }
-                // §4.4 special leaf treatment: when no query-leaf label
-                // ever occurs childless in the data, extending the
-                // *query* with dummy leaf children is exact — every
-                // query label then participates in subsequence matching,
-                // and the LPS starts with the selective deep labels
-                // (this is what makes the paper's Q2/Q7/Q8 fast).
-                let leaf_ok = q.leaves().iter().all(|(s, _)| !self.childless.contains(s));
-                if leaf_ok {
-                    let eq = q.extended(self.dummy);
-                    let mut ext_of_orig = vec![0 as PostNum; q.tree().len()];
-                    for (i, &orig) in eq.ext.orig_post.iter().enumerate() {
-                        if orig != 0 {
-                            ext_of_orig[(orig - 1) as usize] = (i + 1) as PostNum;
-                        }
-                    }
-                    Ok(QueryPlan {
-                        seq: eq.seq,
-                        edges: eq.edges,
-                        leaves: Vec::new(),
-                        qtree: eq.ext.tree,
-                        ext_of_orig: Some(ext_of_orig),
-                        n_orig_query: q.tree().len() as u32,
-                        skip_leaf: true,
-                    })
-                } else {
-                    Ok(QueryPlan {
-                        seq: q.prufer(),
-                        edges: q.edges_by_post(),
-                        leaves: q.leaves(),
-                        qtree: q.tree().clone(),
-                        ext_of_orig: None,
-                        n_orig_query: q.tree().len() as u32,
-                        skip_leaf: false,
-                    })
-                }
-            }
-            IndexKind::Extended => {
-                let eq = q.extended(self.dummy);
-                // Invert ext -> orig into orig -> ext.
-                let mut ext_of_orig = vec![0 as PostNum; q.tree().len()];
-                for (i, &orig) in eq.ext.orig_post.iter().enumerate() {
-                    if orig != 0 {
-                        ext_of_orig[(orig - 1) as usize] = (i + 1) as PostNum;
-                    }
-                }
-                Ok(QueryPlan {
-                    seq: eq.seq,
-                    edges: eq.edges,
-                    leaves: Vec::new(),
-                    qtree: eq.ext.tree,
-                    ext_of_orig: Some(ext_of_orig),
-                    n_orig_query: q.tree().len() as u32,
-                    skip_leaf: true,
-                })
+        if self.kind == IndexKind::Regular && q.needs_extended() {
+            return Err(IndexError::Unsupported(
+                "query requires the EPIndex (values, single node, or wildcard above a leaf)".into(),
+            ));
+        }
+        // The EPIndex always runs the extended query (§5.6). On the
+        // RPIndex, §4.4's special leaf treatment: when no query-leaf
+        // label ever occurs childless in the data, extending the *query*
+        // with dummy leaf children is exact — every query label then
+        // participates in subsequence matching, and the LPS starts with
+        // the selective deep labels (this is what makes the paper's
+        // Q2/Q7/Q8 fast).
+        let extended = self.kind == IndexKind::Extended
+            || q.leaves().iter().all(|(s, _)| !self.childless.contains(s));
+        if !extended {
+            return Ok(QueryPlan {
+                seq: q.prufer(),
+                edges: q.edges_by_post(),
+                leaves: q.leaves(),
+                qtree: q.tree().clone(),
+                ext_of_orig: None,
+                n_orig_query: q.tree().len() as u32,
+                skip_leaf: false,
+            });
+        }
+        let eq = q.extended(self.dummy);
+        // Invert ext -> orig into orig -> ext.
+        let mut ext_of_orig = vec![0 as PostNum; q.tree().len()];
+        for (i, &orig) in eq.ext.orig_post.iter().enumerate() {
+            if orig != 0 {
+                ext_of_orig[(orig - 1) as usize] = (i + 1) as PostNum;
             }
         }
+        Ok(QueryPlan {
+            seq: eq.seq,
+            edges: eq.edges,
+            leaves: Vec::new(),
+            qtree: eq.ext.tree,
+            ext_of_orig: Some(ext_of_orig),
+            n_orig_query: q.tree().len() as u32,
+            skip_leaf: true,
+        })
     }
 
     /// Theorem 4 pruning rules: `rules[k]` bounds `S[k+1] - S[k]` as
@@ -1620,6 +1485,17 @@ mod tests {
         c
     }
 
+    /// Drains [`PrixIndex::execute`], matches in canonical order.
+    fn run(idx: &PrixIndex, q: &TwigQuery, opts: &ExecOpts) -> (Vec<TwigMatch>, QueryStats) {
+        let mut stream = idx.execute(q, opts, None).unwrap();
+        let mut matches = Vec::new();
+        while let Some(m) = stream.next_match().unwrap() {
+            matches.push(m);
+        }
+        matches.sort();
+        (matches, stream.stats())
+    }
+
     fn build_index(c: &mut Collection, kind: IndexKind) -> PrixIndex {
         let dummy = c.intern("\u{1}dummy");
         let pool = Arc::new(BufferPool::new(Pager::in_memory(), 256));
@@ -1636,7 +1512,7 @@ mod tests {
             &mut syms,
         )
         .unwrap();
-        let (matches, stats) = idx.execute(&q).unwrap();
+        let (matches, stats) = run(&idx, &q, &ExecOpts::new());
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].doc, 0);
         assert!(stats.range_queries > 0);
@@ -1655,7 +1531,7 @@ mod tests {
         // they are.
         let q = crate::xpath::parse_xpath("//www[./editor]/url", &mut syms).unwrap();
         assert!(!q.needs_extended());
-        let (matches, _) = idx.execute(&q).unwrap();
+        let (matches, _) = run(&idx, &q, &ExecOpts::new());
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].doc, 3);
     }
@@ -1666,7 +1542,10 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Regular);
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath(r#"//author[text()="Jim Gray"]"#, &mut syms).unwrap();
-        assert!(matches!(idx.execute(&q), Err(IndexError::Unsupported(_))));
+        assert!(matches!(
+            idx.execute(&q, &ExecOpts::new(), None),
+            Err(IndexError::Unsupported(_))
+        ));
     }
 
     #[test]
@@ -1675,7 +1554,7 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Extended);
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath(r#"//author[text()="Jim Gray"]"#, &mut syms).unwrap();
-        let (matches, _) = idx.execute(&q).unwrap();
+        let (matches, _) = run(&idx, &q, &ExecOpts::new());
         assert_eq!(matches.len(), 2);
         for m in &matches {
             let tree = c.doc(m.doc);
@@ -1697,7 +1576,7 @@ mod tests {
         let mut syms = c.symbols().clone();
         // //S//NP/SYM: SYM must be a child of NP, NP a descendant of S.
         let q = crate::xpath::parse_xpath("//S//NP/SYM", &mut syms).unwrap();
-        let (matches, _) = idx.execute(&q).unwrap();
+        let (matches, _) = run(&idx, &q, &ExecOpts::new());
         let docs: Vec<DocId> = matches.iter().map(|m| m.doc).collect();
         assert_eq!(docs, vec![0, 1], "doc 2 has SYM under X, not under NP");
     }
@@ -1711,7 +1590,7 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Regular);
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath("//a/*/b/x", &mut syms).unwrap();
-        let (matches, _) = idx.execute(&q).unwrap();
+        let (matches, _) = run(&idx, &q, &ExecOpts::new());
         let docs: Vec<DocId> = matches.iter().map(|m| m.doc).collect();
         assert_eq!(docs, vec![0]);
     }
@@ -1724,10 +1603,10 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Extended);
         let mut syms = c.symbols().clone();
         let q_rel = crate::xpath::parse_xpath("//a/b/t", &mut syms).unwrap();
-        let (m_rel, _) = idx.execute(&q_rel).unwrap();
+        let (m_rel, _) = run(&idx, &q_rel, &ExecOpts::new());
         assert_eq!(m_rel.len(), 2);
         let q_abs = crate::xpath::parse_xpath("/a/b/t", &mut syms).unwrap();
-        let (m_abs, _) = idx.execute(&q_abs).unwrap();
+        let (m_abs, _) = run(&idx, &q_abs, &ExecOpts::new());
         assert_eq!(m_abs.len(), 1);
         assert_eq!(m_abs[0].doc, 0);
     }
@@ -1742,10 +1621,8 @@ mod tests {
             &mut syms,
         )
         .unwrap();
-        let (with, s_with) = idx.execute_opts(&q, &ExecOpts::new()).unwrap();
-        let (without, s_without) = idx
-            .execute_opts(&q, &ExecOpts::new().without_maxgap())
-            .unwrap();
+        let (with, s_with) = run(&idx, &q, &ExecOpts::new());
+        let (without, s_without) = run(&idx, &q, &ExecOpts::new().without_maxgap());
         assert_eq!(with, without, "pruning must be lossless (Theorem 4)");
         assert!(s_with.nodes_scanned <= s_without.nodes_scanned);
     }
@@ -1756,7 +1633,7 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Extended);
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath("//editor", &mut syms).unwrap();
-        let (matches, _) = idx.execute(&q).unwrap();
+        let (matches, _) = run(&idx, &q, &ExecOpts::new());
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].doc, 3);
     }
@@ -1775,7 +1652,7 @@ mod tests {
         // All ten docs match //a/b.
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath("//a/b/c", &mut syms).unwrap();
-        let (matches, _) = idx.execute(&q).unwrap();
+        let (matches, _) = run(&idx, &q, &ExecOpts::new());
         assert_eq!(matches.len(), 10);
     }
 
@@ -1793,7 +1670,7 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Regular);
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath("//P[./Q]/R", &mut syms).unwrap();
-        let (matches, _) = idx.execute(&q).unwrap();
+        let (matches, _) = run(&idx, &q, &ExecOpts::new());
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].doc, 0, "doc 1 would be a ViST false alarm");
     }
@@ -1815,10 +1692,8 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Regular);
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath("//a[./b]/c", &mut syms).unwrap();
-        let fine = idx.execute_opts(&q, &ExecOpts::new()).unwrap();
-        let coarse = idx
-            .execute_opts(&q, &ExecOpts::new().without_fine_maxgap())
-            .unwrap();
+        let fine = run(&idx, &q, &ExecOpts::new());
+        let coarse = run(&idx, &q, &ExecOpts::new().without_fine_maxgap());
         assert_eq!(fine.0, coarse.0, "fine pruning must be lossless");
         assert_eq!(fine.0.len(), 1, "only the wide document matches");
         assert!(

@@ -25,8 +25,9 @@
 //!   edges and equality value predicates,
 //! * [`PrixIndex`] — a disk-resident index (RPIndex or EPIndex, §5.6)
 //!   over one collection,
-//! * [`PrixEngine`] — owns both indexes and routes each query to the
-//!   right one like the paper's query optimizer (§5.6),
+//! * [`PrixEngine`] — owns both indexes and the write path; every read
+//!   goes through an [`EngineSnapshot`], which routes each query to the
+//!   right index like the paper's query optimizer (§5.6),
 //! * [`naive`] — a direct tree-matching oracle used to validate every
 //!   engine (no false alarms, no false dismissals),
 //! * [`scan`] — an index-free in-memory matcher built from the same
@@ -51,7 +52,7 @@ pub use exec::MatchStream;
 pub use index::{ExecOpts, IndexKind, PrixIndex, QueryStats, TwigMatch};
 pub use plan::{
     canonicalize, prix_embedding_exact, AltProvider, EngineCaps, EngineChoice, EngineId, NoAlts,
-    PlanReport, Planner, PlannerStats, PrixBackend, QueryEngine, QueryShape, Routed, Router,
+    PlanReport, Planner, PlannerStats, QueryEngine, QueryShape, Routed, Router,
 };
 pub use prix_storage::{ManifestSegment, SegmentCheck, SEG_KIND_EP, SEG_KIND_RP};
 pub use query::{PredOp, PredValue, TwigBuilder, TwigQuery, ValuePred};

@@ -28,9 +28,10 @@
 //! Routed results must be indistinguishable from forced-PRIX results.
 //! Two mechanisms guarantee that:
 //!
-//! 1. every routed outcome is canonicalized — matches sorted by
-//!    `(doc, embedding)` — so engines with different enumeration
-//!    orders produce identical payloads,
+//! 1. every outcome is canonical — matches sorted by `(doc,
+//!    embedding)`: PRIX reads sort once at the end of their tier loop,
+//!    and the router sorts alternative engines' outcomes — so engines
+//!    with different enumeration orders produce identical payloads,
 //! 2. a non-PRIX engine is only *eligible* when PRIX's embedding
 //!    semantics are exact for the query ([`prix_embedding_exact`]):
 //!    for `//` edges meeting at a branching node, PRIX's
@@ -49,6 +50,7 @@ use prix_xml::{Collection, NodeKind, Sym};
 use crate::engine::QueryOutcome;
 use crate::index::{ExecOpts, IndexError, IndexKind, Result};
 use crate::query::TwigQuery;
+use crate::snapshot::EngineSnapshot;
 
 /// Every engine the planner can route to. `PrixRp`/`PrixEp`
 /// distinguish the paper's two index flavors (§5.6) because they are
@@ -151,22 +153,6 @@ pub trait QueryEngine: Send + Sync {
     /// with their own id and report whatever counters map onto
     /// [`crate::index::QueryStats`].
     fn execute(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome>;
-}
-
-/// The PRIX side of the router: executes a query on the RP/EP tiers,
-/// optionally forcing one index kind. Implemented by `PrixEngine` and
-/// `EngineSnapshot`.
-pub trait PrixBackend: Sync {
-    /// `(has_rp, has_ep)`.
-    fn prix_caps(&self) -> (bool, bool);
-    /// Runs the query, forcing `force` when set (classic §5.6 routing
-    /// when `None`).
-    fn execute_prix(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-        force: Option<IndexKind>,
-    ) -> Result<QueryOutcome>;
 }
 
 /// Supplies (usually lazily-built) alternative engines to the router.
@@ -295,13 +281,12 @@ pub fn prix_embedding_exact(q: &TwigQuery) -> bool {
     true
 }
 
-/// Sorts matches by `(doc, embedding)` — the canonical routed order.
-/// Applied to every routed outcome so different engines' enumeration
-/// orders cannot leak into the payload.
+/// Sorts matches by `(doc, embedding)` — the canonical order every
+/// PRIX read already returns. The router applies it to alternative
+/// engines' outcomes so their enumeration orders cannot leak into the
+/// payload.
 pub fn canonicalize(outcome: &mut QueryOutcome) {
-    outcome
-        .matches
-        .sort_unstable_by(|a, b| (a.doc, &a.embedding).cmp(&(b.doc, &b.embedding)));
+    outcome.matches.sort_unstable();
 }
 
 // ---------------------------------------------------------------------------
@@ -896,13 +881,11 @@ pub struct Routed {
     pub mispredicted: bool,
 }
 
-/// Plans and executes one query over a PRIX backend plus optional
-/// alternative engines.
+/// Plans and executes one query over a snapshot's PRIX indexes plus
+/// optional alternative engines.
 pub struct Router<'a> {
-    /// The planner (owned by the engine, shared with snapshots).
-    pub planner: &'a Planner,
-    /// PRIX execution (tiers, snapshot pins — the backend's business).
-    pub prix: &'a dyn PrixBackend,
+    /// The epoch-pinned view PRIX runs on; its planner scores the plan.
+    pub prix: &'a EngineSnapshot,
     /// Lazily-built alternative engines.
     pub alts: &'a dyn AltProvider,
 }
@@ -915,21 +898,19 @@ impl<'a> Router<'a> {
         opts: &ExecOpts,
         forced: Option<EngineChoice>,
     ) -> Result<PlanReport> {
-        let (rp, ep) = self.prix.prix_caps();
-        // Alternative engines replay documents out of the RP index, so
-        // they need it in addition to a willing provider.
-        let alt = self.alts.available() && rp;
-        let caps = EngineCaps {
-            rp,
-            ep,
-            vist: alt,
-            twigstack: alt,
-        };
-        self.planner.decide(q, caps, opts, forced)
+        // The snapshot's capabilities (what `/explain` shows); the
+        // alternative engines additionally need a willing provider.
+        let mut caps = self.prix.engine_caps();
+        if !self.alts.available() {
+            caps.vist = false;
+            caps.twigstack = false;
+        }
+        self.prix.planner().decide(q, caps, opts, forced)
     }
 
-    /// Plans and executes `q`, canonicalizes the result, and feeds the
-    /// observation back into the EWMA table.
+    /// Plans and executes `q`, canonicalizes an alternative engine's
+    /// result (PRIX results already are), and feeds the observation
+    /// back into the EWMA table.
     pub fn route(
         &self,
         q: &TwigQuery,
@@ -941,13 +922,13 @@ impl<'a> Router<'a> {
         if report.chosen.is_prix() {
             exec_opts.use_maxgap = report.maxgap;
         }
-        let mut outcome = match report.chosen {
+        let outcome = match report.chosen {
             EngineId::PrixRp => self
                 .prix
-                .execute_prix(q, &exec_opts, Some(IndexKind::Regular))?,
+                .query_forced(q, &exec_opts, Some(IndexKind::Regular))?,
             EngineId::PrixEp => self
                 .prix
-                .execute_prix(q, &exec_opts, Some(IndexKind::Extended))?,
+                .query_forced(q, &exec_opts, Some(IndexKind::Extended))?,
             id => {
                 let engine = self.alts.alt_engine(id)?;
                 if !engine.supports(q) {
@@ -956,11 +937,12 @@ impl<'a> Router<'a> {
                         id.label()
                     )));
                 }
-                engine.execute(q, &exec_opts)?
+                let mut outcome = engine.execute(q, &exec_opts)?;
+                canonicalize(&mut outcome);
+                outcome
             }
         };
-        canonicalize(&mut outcome);
-        let mispredicted = self.planner.observe(&report, outcome.elapsed);
+        let mispredicted = self.prix.planner().observe(&report, outcome.elapsed);
         Ok(Routed {
             outcome,
             report,
@@ -1256,7 +1238,6 @@ mod tests {
     #[test]
     fn arrangement_ranking_puts_rare_roots_first() {
         let mut s = PlannerStats::default();
-        let planner;
         let mut syms = SymbolTable::new();
         syms.intern("pad");
         let a = syms.intern("a");
@@ -1264,7 +1245,7 @@ mod tests {
         s.tag_freq.insert(a, 10_000);
         s.tag_freq.insert(b, 10);
         s.total_nodes = 10_010;
-        planner = Planner::new(s);
+        let planner = Planner::new(s);
         let qa = parse_xpath("/a/b", &mut syms).unwrap(); // root a (frequent)
         let qb = parse_xpath("/b/a", &mut syms).unwrap(); // root b (rare)
         let order = planner.rank_arrangements(&[qa, qb]);

@@ -1,4 +1,12 @@
-//! Snapshot-isolated online ingest: versioned catalogs over the engine.
+//! The read path and snapshot-isolated online ingest: versioned
+//! catalogs over the engine.
+//!
+//! Every read is a snapshot read. [`EngineSnapshot`] carries the only
+//! query methods — ordered, batched, unordered (§5.7), routed, and
+//! explain — and `PrixEngine::query` is shorthand for querying a fresh
+//! one. Ordered reads descend the tiers through
+//! [`PrixIndex::execute`] streams and end in one canonical
+//! `(doc, embedding)` sort.
 //!
 //! The paper treats the index as a build-once artifact with §5.2.1's
 //! dynamic labeling for incremental inserts; this module makes those
@@ -32,31 +40,35 @@
 //! index), which is exactly the right answer for a label the pinned
 //! epoch has never seen.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
-use prix_storage::EpochPin;
-use prix_xml::{DocId, ScratchSyms, SymbolTable};
+use prix_storage::{EpochPin, IoScope};
+use prix_xml::{Collection, DocId, PostNum, ScratchSyms, SymbolTable};
 
-use crate::engine::{
-    collect_tiers, explain_pred, pick_index_from, reconstruct_from_tiers, run_query_batch,
-    run_query_forced, run_query_opts, run_query_unordered, PrixEngine, QueryOutcome, SegTier,
-};
-use crate::index::{ExecOpts, IndexError, IndexKind, PrixIndex, Result};
-use crate::plan::{AltProvider, EngineCaps, EngineChoice, Planner, PrixBackend, Routed, Router};
+use crate::arrange::arrangements;
+use crate::engine::{PrixEngine, QueryOutcome, SegTier};
+use crate::index::{ExecOpts, IndexError, IndexKind, PrixIndex, QueryStats, Result, TwigMatch};
+use crate::plan::{AltProvider, EngineCaps, EngineChoice, EngineId, Planner, Routed, Router};
 use crate::query::TwigQuery;
 use crate::valix::{PredEval, Valix};
 use crate::xpath::{parse_xpath, XPathError};
 
-/// An immutable, epoch-pinned view of a [`PrixEngine`].
+/// An immutable, epoch-pinned view of a [`PrixEngine`] — the only read
+/// path: every query, explain, and routed execution runs against one.
 ///
 /// Everything reachable from a snapshot reads as of its
 /// [`EngineSnapshot::epoch`]: the index handles are clones sharing the
 /// buffer pool, and every query method installs the snapshot's epoch
 /// pin for the duration of the call so the pool serves pre-images of
-/// any page a concurrent ingest has rewritten.
+/// any page a concurrent ingest has rewritten. Ordered results come
+/// back in the canonical `(doc, embedding)` order.
 pub struct EngineSnapshot {
     epoch: u64,
+    /// Shared with the engine's collection, never copied at capture:
+    /// the writer's next parse copies its own side instead.
     syms: Arc<SymbolTable>,
     rp: Option<PrixIndex>,
     ep: Option<PrixIndex>,
@@ -80,11 +92,11 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    fn capture(engine: &PrixEngine) -> Self {
+    pub(crate) fn capture(engine: &PrixEngine) -> Self {
         let pin = engine.pool().pin_epoch();
         EngineSnapshot {
             epoch: pin.epoch(),
-            syms: Arc::new(engine.collection().symbols().clone()),
+            syms: Arc::clone(engine.collection().shared_symbols()),
             rp: engine.rp_index().cloned(),
             ep: engine.ep_index().cloned(),
             segments: engine.seg_tiers().to_vec(),
@@ -103,7 +115,7 @@ impl EngineSnapshot {
     }
 
     /// The tier list this snapshot's queries descend.
-    fn tiers(&self) -> Vec<crate::engine::TierRefs<'_>> {
+    fn tiers(&self) -> Vec<TierRefs<'_>> {
         collect_tiers(&self.segments, self.rp.as_ref(), self.ep.as_ref())
     }
 
@@ -154,32 +166,52 @@ impl EngineSnapshot {
         self.query_opts(q, &ExecOpts::default())
     }
 
-    /// [`EngineSnapshot::query`] with execution options.
+    /// [`EngineSnapshot::query`] with execution options. With
+    /// [`ExecOpts::limit`] set the executor stops pulling at the limit —
+    /// the remaining trie range queries and refinements never happen.
     pub fn query_opts(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome> {
-        let _pin = self.pin.guard();
-        let pred = self.pred_eval(q)?;
-        run_query_opts(&self.tiers(), q, opts, pred.as_ref())
+        self.query_forced(q, opts, None)
     }
 
-    /// Executes a batch across `threads` workers; every worker reads
-    /// this snapshot's epoch (the pin is installed per query, so it is
-    /// in effect on each worker thread).
+    /// [`EngineSnapshot::query_opts`] with an optional forced index kind
+    /// (the router's RP-vs-EP decision; `None` = §5.6 routing).
+    pub(crate) fn query_forced(
+        &self,
+        q: &TwigQuery,
+        opts: &ExecOpts,
+        force: Option<IndexKind>,
+    ) -> Result<QueryOutcome> {
+        let _pin = self.pin.guard();
+        let pred = self.pred_eval(q)?;
+        run_ordered(&self.tiers(), q, opts, force, pred.as_ref())
+    }
+
+    /// Executes a batch of ordered twig queries on up to `threads`
+    /// worker threads, returning one [`QueryOutcome`] per query in
+    /// input order. Workers pull queries from a shared atomic cursor,
+    /// so long and short queries balance across threads; all of them
+    /// read this snapshot's epoch (the pin is installed per query, on
+    /// each worker thread).
+    ///
+    /// `threads` is clamped to `1..=queries.len()`: `threads == 0` is
+    /// treated as 1 (serial), never an empty worker set. Each
+    /// outcome's [`QueryOutcome::io`] is attributed through a
+    /// per-thread [`IoScope`], so it counts exactly the pages that
+    /// query touched — concurrent queries on other workers never leak
+    /// into it.
     pub fn query_batch(&self, queries: &[TwigQuery], threads: usize) -> Result<Vec<QueryOutcome>> {
         self.query_batch_opts(queries, threads, &ExecOpts::default())
     }
 
-    /// [`EngineSnapshot::query_batch`] with execution options.
+    /// [`EngineSnapshot::query_batch`] with per-query execution options
+    /// (each query gets the same `opts`, including any limit).
     pub fn query_batch_opts(
         &self,
         queries: &[TwigQuery],
         threads: usize,
         opts: &ExecOpts,
     ) -> Result<Vec<QueryOutcome>> {
-        run_query_batch(queries, threads, |q| {
-            let _pin = self.pin.guard();
-            let pred = self.pred_eval(q)?;
-            run_query_opts(&self.tiers(), q, opts, pred.as_ref())
-        })
+        run_query_batch(queries, threads, |q| self.query_opts(q, opts))
     }
 
     /// Executes an unordered twig query (§5.7 arrangements) against
@@ -188,21 +220,30 @@ impl EngineSnapshot {
         self.query_unordered_opts(q, &ExecOpts::default())
     }
 
-    /// [`EngineSnapshot::query_unordered`] with execution options.
+    /// [`EngineSnapshot::query_unordered`] with execution options. With
+    /// [`ExecOpts::limit`] set, arrangements interleave through the
+    /// *shared* limit: each arrangement is streamed, distinct
+    /// base-numbered matches count against the one budget, and as soon
+    /// as it is reached the current stream is abandoned mid-trie and
+    /// the remaining arrangements never run at all.
     pub fn query_unordered_opts(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome> {
         let _pin = self.pin.guard();
         let pred = self.pred_eval(q)?;
-        run_query_unordered(
+        run_unordered(
             &self.tiers(),
             self.arrangement_limit,
             q,
             opts,
-            Some(&self.planner),
+            &self.planner,
             pred.as_ref(),
         )
     }
 
-    /// The engine capabilities the planner scores over at this epoch.
+    /// The engine capabilities the planner scores over at this epoch:
+    /// which PRIX indexes exist, and whether the alternative engines
+    /// could be built (they replay documents out of the RP index, so
+    /// every tier must have one — see
+    /// [`EngineSnapshot::reconstruct_collection`]).
     pub fn engine_caps(&self) -> EngineCaps {
         let tiers = self.tiers();
         let (rp, ep) = tiers[0];
@@ -221,7 +262,9 @@ impl EngineSnapshot {
     }
 
     /// Plans and executes `q` through the cost-based router against
-    /// this epoch's view (see `PrixEngine::query_routed`).
+    /// this epoch's view: the planner scores every alternative,
+    /// `forced` bypasses the comparison, and the matches come back in
+    /// the canonical `(doc, embedding)` order whatever engine ran.
     pub fn query_routed(
         &self,
         q: &TwigQuery,
@@ -229,37 +272,63 @@ impl EngineSnapshot {
         forced: Option<EngineChoice>,
         alts: &dyn AltProvider,
     ) -> Result<Routed> {
-        Router {
-            planner: &self.planner,
-            prix: self,
-            alts,
-        }
-        .route(q, opts, forced)
+        Router { prix: self, alts }.route(q, opts, forced)
     }
 
     /// Rebuilds the document trees this epoch can see from the RP
-    /// index's stored sequences (see
-    /// `PrixEngine::reconstruct_collection`); the alternative engines
-    /// encode their substrates from the result.
-    pub fn reconstruct_collection(&self) -> Result<prix_xml::Collection> {
+    /// index's stored sequences
+    /// ([`prix_prufer::reconstruct::tree_from_sequences`]), in global
+    /// document order across every tier. This is how the alternative
+    /// engines get a collection to encode on a reopened database,
+    /// whose in-memory collection is empty. All nodes come back as
+    /// elements (the RP encoding does not mark text nodes), which is
+    /// exactly what label-driven matching needs. Requires the RP index
+    /// in every tier.
+    pub fn reconstruct_collection(&self) -> Result<Collection> {
         let _pin = self.pin.guard();
-        reconstruct_from_tiers(&self.tiers(), (*self.syms).clone())
+        let mut collection = Collection::with_symbols(Arc::clone(&self.syms));
+        for &(rp, _) in &self.tiers() {
+            let rp = rp.ok_or_else(|| {
+                IndexError::Unsupported(
+                    "reconstructing documents requires the RPIndex in every tier".into(),
+                )
+            })?;
+            let base = rp.doc_base();
+            for local in 0..rp.doc_count() as u32 {
+                let data = rp.load_doc(base + local, true)?;
+                let tree = prix_prufer::reconstruct::tree_from_sequences(
+                    &data.lps,
+                    &data.nps,
+                    &data.leaves,
+                )
+                .map_err(|e| {
+                    IndexError::Unsupported(format!("stored sequences are inconsistent: {e}"))
+                })?;
+                let id = collection.add_tree(tree);
+                debug_assert_eq!(id, base + local, "tiers ascend contiguously");
+            }
+        }
+        Ok(collection)
     }
 
-    /// Describes the plan for an XPath at this epoch. Parses against a
-    /// private copy of the symbol table (explain needs names for every
-    /// query label, including ones this epoch has never seen).
+    /// Describes the plan for an XPath at this epoch: the index choice
+    /// (§5.6), the query's sequences, edge constraints, and MaxGap
+    /// rules, any predicates, then the cost-based planner's ranked
+    /// alternatives. Parses through a [`ScratchSyms`] overlay, so
+    /// labels this epoch has never seen still have names to print.
     pub fn explain(&self, xpath: &str) -> Result<String> {
-        let mut syms = (*self.syms).clone();
+        let mut syms = ScratchSyms::new(&self.syms);
         let q = parse_xpath(xpath, &mut syms)
             .map_err(|e| IndexError::Unsupported(format!("parse error: {e}")))?;
         let _pin = self.pin.guard();
+        // Every tier routes the same way; the first has the MaxGap
+        // values worth showing.
         let tiers = self.tiers();
         let (rp, ep) = tiers[0];
-        let idx = pick_index_from(rp, ep, &q)?;
+        let idx = pick_index(rp, ep, &q, None)?;
         let mut out = format!("index: {}\n", idx.kind());
         out.push_str(&idx.explain(&q, &syms)?);
-        if let Some(pred) = PredEval::build(&q, self.valix.as_ref(), &syms)? {
+        if let Some(pred) = self.pred_eval(&q)? {
             out.push_str(&explain_pred(&q, &pred, &syms));
         }
         let report = self
@@ -267,25 +336,6 @@ impl EngineSnapshot {
             .decide(&q, self.engine_caps(), &ExecOpts::default(), None)?;
         out.push_str(&report.render());
         Ok(out)
-    }
-}
-
-impl PrixBackend for EngineSnapshot {
-    fn prix_caps(&self) -> (bool, bool) {
-        let tiers = self.tiers();
-        let (rp, ep) = tiers[0];
-        (rp.is_some(), ep.is_some())
-    }
-
-    fn execute_prix(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-        force: Option<IndexKind>,
-    ) -> Result<QueryOutcome> {
-        let _pin = self.pin.guard();
-        let pred = self.pred_eval(q)?;
-        run_query_forced(&self.tiers(), q, opts, force, pred.as_ref())
     }
 }
 
@@ -581,11 +631,316 @@ impl SharedEngine {
     }
 }
 
+/// One tier's `(rp, ep)` index pair as the read paths see it.
+type TierRefs<'a> = (Option<&'a PrixIndex>, Option<&'a PrixIndex>);
+
+/// Builds the tier list a query descends: segments in ascending
+/// `doc_base` order, then the mutable delta. The mutable tier joins
+/// only when it has documents (or when there is nothing else): an
+/// empty delta would re-run every trie descent for zero candidates,
+/// and — worse — flip the conservative truncation flag for limited
+/// queries. Omitting it keeps a freshly bulk-built or just-compacted
+/// engine bit-identical to a single-tier engine over the same
+/// documents, which is the property the `bulk_equals_incremental`
+/// suite pins.
+fn collect_tiers<'a>(
+    segments: &'a [SegTier],
+    rp: Option<&'a PrixIndex>,
+    ep: Option<&'a PrixIndex>,
+) -> Vec<TierRefs<'a>> {
+    let mut tiers: Vec<TierRefs<'a>> = segments
+        .iter()
+        .map(|t| (t.rp.as_ref(), t.ep.as_ref()))
+        .collect();
+    let mutable_docs = rp.or(ep).map_or(0, |i| i.doc_count());
+    if tiers.is_empty() || mutable_docs > 0 {
+        tiers.push((rp, ep));
+    }
+    tiers
+}
+
+/// §5.6's optimizer rule over one tier's index pair: value queries
+/// need the EPIndex; value-free queries prefer the RPIndex ("If twig
+/// queries have no values, then indexing Regular-Prüfer sequences is
+/// recommended"). `force` pins the kind instead (the planner's
+/// RP-vs-EP choice, or `--engine prix_rp`/`prix_ep`); forcing the
+/// RPIndex for a value query is refused — it cannot answer it — as is
+/// forcing an index that was not built.
+fn pick_index<'a>(
+    rp: Option<&'a PrixIndex>,
+    ep: Option<&'a PrixIndex>,
+    q: &TwigQuery,
+    force: Option<IndexKind>,
+) -> Result<&'a PrixIndex> {
+    match force {
+        Some(IndexKind::Regular) => {
+            if q.needs_extended() {
+                return Err(IndexError::Unsupported(
+                    "value query cannot run on the RPIndex".into(),
+                ));
+            }
+            rp.ok_or_else(|| IndexError::Unsupported("the RPIndex was not built".into()))
+        }
+        Some(IndexKind::Extended) => {
+            ep.ok_or_else(|| IndexError::Unsupported("the EPIndex was not built".into()))
+        }
+        None => {
+            if q.needs_extended() {
+                ep.ok_or_else(|| {
+                    IndexError::Unsupported(
+                        "query requires the EPIndex, which was not built".into(),
+                    )
+                })
+            } else {
+                rp.or(ep)
+                    .ok_or_else(|| IndexError::Unsupported("no index was built".into()))
+            }
+        }
+    }
+}
+
+/// The ordered-query path: one tier loop for limited and unlimited
+/// queries. Each tier drains one [`PrixIndex::execute`] stream against
+/// the *remaining* budget; once a limit is spent the current stream is
+/// abandoned mid-trie and later tiers never run their range queries at
+/// all. The result ends in one canonical `(doc, embedding)` sort, so
+/// neither the trie order inside a tier nor the tier layout shows in
+/// the answer.
+fn run_ordered(
+    tiers: &[TierRefs<'_>],
+    q: &TwigQuery,
+    opts: &ExecOpts,
+    force: Option<IndexKind>,
+    pred: Option<&PredEval>,
+) -> Result<QueryOutcome> {
+    let scope = IoScope::begin();
+    let start = Instant::now();
+    let mut matches: Vec<TwigMatch> = Vec::new();
+    let mut stats = QueryStats::default();
+    let mut index_used = IndexKind::Regular;
+    let mut truncated = false;
+    for (i, &(rp, ep)) in tiers.iter().enumerate() {
+        let remaining = opts.limit.map(|k| k - matches.len());
+        if i > 0 && remaining == Some(0) {
+            // Budget exhausted with tiers left unexplored: more
+            // matches may exist (the same conservative flag a
+            // mid-stream stop reports).
+            truncated = true;
+            break;
+        }
+        let idx = pick_index(rp, ep, q, force)?;
+        index_used = idx.kind();
+        let tier_opts = ExecOpts {
+            limit: remaining,
+            ..*opts
+        };
+        let mut stream = idx.execute(q, &tier_opts, pred)?;
+        while let Some(m) = stream.next_match()? {
+            matches.push(m);
+        }
+        add_filter_counters(&mut stats, &stream.stats());
+        if !stream.exhausted() {
+            truncated = true;
+            break;
+        }
+    }
+    // TwigMatch orders by `(doc, embedding)`: the canonical order.
+    matches.sort_unstable();
+    stats.matches = matches.len() as u64;
+    if let Some(p) = pred {
+        stats.valix_probes += p.probe.probes;
+        stats.valix_postings += p.probe.postings;
+    }
+    Ok(QueryOutcome {
+        matches,
+        stats,
+        index_used,
+        io: scope.end(),
+        elapsed: start.elapsed(),
+        truncated,
+        engine: EngineId::from_kind(index_used),
+    })
+}
+
+/// Batch driver: workers pull queries from an atomic cursor and run
+/// `exec_one` (which installs the snapshot's pin on its own thread).
+fn run_query_batch(
+    queries: &[TwigQuery],
+    threads: usize,
+    exec_one: impl Fn(&TwigQuery) -> Result<QueryOutcome> + Sync,
+) -> Result<Vec<QueryOutcome>> {
+    let threads = threads.max(1).min(queries.len().max(1));
+    if threads == 1 {
+        return queries.iter().map(&exec_one).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Result<QueryOutcome>>>> =
+        queries.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            let next = &next;
+            let slots = &slots;
+            let exec_one = &exec_one;
+            s.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= queries.len() {
+                    break;
+                }
+                let out = exec_one(&queries[i]);
+                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("every query index was claimed by a worker")
+        })
+        .collect()
+}
+
+/// The unordered-query path (§5.7 arrangement loop with the shared
+/// limit and base-numbered dedup). With a limit set, arrangements run
+/// cheapest-estimated-first: the shared budget fills from the
+/// arrangements expected to drain (or fail) fastest. Without a limit the order is left alone — every
+/// arrangement runs to completion anyway, and keeping the stock order
+/// keeps the concatenated match vector bit-identical to older builds.
+fn run_unordered(
+    tiers: &[TierRefs<'_>],
+    arrangement_limit: usize,
+    q: &TwigQuery,
+    opts: &ExecOpts,
+    planner: &Planner,
+    pred: Option<&PredEval>,
+) -> Result<QueryOutcome> {
+    let mut arrs =
+        arrangements(q, arrangement_limit).map_err(|e| IndexError::Unsupported(e.to_string()))?;
+    if opts.limit.is_some() {
+        let queries: Vec<TwigQuery> = arrs.iter().map(|a| a.query.clone()).collect();
+        let order = planner.rank_arrangements(&queries);
+        let mut reordered = Vec::with_capacity(arrs.len());
+        let mut taken: Vec<Option<_>> = arrs.into_iter().map(Some).collect();
+        for i in order {
+            reordered.push(taken[i].take().expect("permutation visits each index once"));
+        }
+        arrs = reordered;
+    }
+    let scope = IoScope::begin();
+    let start = Instant::now();
+    let mut stats = QueryStats::default();
+    let mut index_used = IndexKind::Regular;
+    let mut seen: HashSet<(DocId, Vec<PostNum>)> = HashSet::new();
+    let mut matches: Vec<TwigMatch> = Vec::new();
+    let mut truncated = false;
+    // Dedup across arrangements makes a per-stream limit unsound
+    // (k matches from one arrangement may collapse with earlier
+    // ones), so each arrangement streams unlimited and the shared
+    // countdown is enforced on distinct base-numbered matches. Tiers
+    // nest inside the arrangement loop; the final sort re-establishes
+    // global order either way.
+    let arr_opts = opts.without_limit();
+    'arrs: for arr in &arrs {
+        // Arrangements strip predicates from their queries (the
+        // structural twig is what gets rearranged), so the evaluator is
+        // renumbered to each arrangement's postorders instead.
+        let arr_pred = pred.map(|p| p.remap(&arr.base_of));
+        for &(rp, ep) in tiers {
+            let idx = pick_index(rp, ep, &arr.query, None)?;
+            index_used = idx.kind();
+            let mut stream = idx.execute(&arr.query, &arr_opts, arr_pred.as_ref())?;
+            while let Some(m) = stream.next_match()? {
+                // Re-map the arrangement's postorder numbering back to
+                // the base query's.
+                let mut base_emb = vec![0 as PostNum; m.embedding.len()];
+                for (arr_q, &img) in m.embedding.iter().enumerate() {
+                    let base_q = arr.base_of[arr_q];
+                    base_emb[(base_q - 1) as usize] = img;
+                }
+                if seen.insert((m.doc, base_emb.clone())) {
+                    matches.push(TwigMatch {
+                        doc: m.doc,
+                        embedding: base_emb,
+                    });
+                    if opts.limit.map_or(false, |k| matches.len() >= k) {
+                        let s = stream.stats();
+                        add_filter_counters(&mut stats, &s);
+                        truncated = true;
+                        break 'arrs;
+                    }
+                }
+            }
+            let s = stream.stats();
+            add_filter_counters(&mut stats, &s);
+        }
+    }
+    matches.sort();
+    stats.matches = matches.len() as u64;
+    if let Some(p) = pred {
+        stats.valix_probes += p.probe.probes;
+        stats.valix_postings += p.probe.postings;
+    }
+    Ok(QueryOutcome {
+        matches,
+        stats,
+        index_used,
+        io: scope.end(),
+        elapsed: start.elapsed(),
+        truncated,
+        engine: EngineId::from_kind(index_used),
+    })
+}
+
+/// Renders the `/explain` lines for a predicate query: one line per
+/// predicate plus the valix probe's estimated selectivity. Predicate-
+/// free queries never reach this (their explain output is pinned).
+fn explain_pred(q: &TwigQuery, pred: &PredEval, syms: &ScratchSyms<'_>) -> String {
+    let mut out = String::new();
+    for p in q.preds() {
+        out.push_str(&format!(
+            "predicate: {}{{{}}}\n",
+            syms.name(q.tree().label(p.node)),
+            p.render_op()
+        ));
+    }
+    match pred.estimate() {
+        Some((n, covered)) if covered > 0 => {
+            out.push_str(&format!(
+                "valix: probe passes {n}/{covered} docs (estimated selectivity {:.2}%)\n",
+                (n as f64 / covered as f64) * 100.0
+            ));
+        }
+        Some((n, _)) => {
+            out.push_str(&format!("valix: probe passes {n} docs (nothing indexed)\n"));
+        }
+        None => {
+            out.push_str("valix: no probeable predicate (verification only)\n");
+        }
+    }
+    out
+}
+
+/// Accumulates one arrangement's pipeline stats into the union's
+/// (everything except `matches`, which counts distinct base-numbered
+/// embeddings across all arrangements).
+fn add_filter_counters(total: &mut QueryStats, s: &QueryStats) {
+    total.range_queries += s.range_queries;
+    total.nodes_scanned += s.nodes_scanned;
+    total.maxgap_pruned += s.maxgap_pruned;
+    total.candidates += s.candidates;
+    total.refined += s.refined;
+    total.filter_time += s.filter_time;
+    total.refine_time += s.refine_time;
+    total.project_time += s.project_time;
+    total.pred_skipped += s.pred_skipped;
+    total.pred_rejected += s.pred_rejected;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use prix_xml::Collection;
 
     fn docs(xs: &[&str]) -> Vec<String> {
         xs.iter().map(|s| s.to_string()).collect()
@@ -662,6 +1017,29 @@ mod tests {
         let snap = shared.snapshot();
         let q = snap.parse_query("//a").unwrap();
         assert_eq!(snap.query(&q).unwrap().matches.len(), 3);
+    }
+
+    #[test]
+    fn snapshots_share_the_symbol_table_until_a_write() {
+        let mut coll = Collection::new();
+        coll.add_xml("<a><b>hello</b><c/></a>").unwrap();
+        let mut engine = PrixEngine::build(coll, EngineConfig::default()).unwrap();
+        let first = engine.snapshot();
+        let second = engine.snapshot();
+        assert!(
+            Arc::ptr_eq(&first.syms, &second.syms),
+            "capture must share the table, not copy it"
+        );
+        assert!(Arc::ptr_eq(
+            &first.syms,
+            engine.collection().shared_symbols()
+        ));
+        // Interning a new label copies the writer's side only.
+        engine.parse_query("//a/fresh_label").unwrap();
+        let third = engine.snapshot();
+        assert!(!Arc::ptr_eq(&first.syms, &third.syms));
+        assert!(first.symbols().lookup("fresh_label").is_none());
+        assert!(third.symbols().lookup("fresh_label").is_some());
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! [`Collection`] owns the documents and the symbol table they share, and
 //! hands out stable [`DocId`]s.
 
+use std::sync::Arc;
+
 use crate::parser::{parse_document, ParseError};
 use crate::stats::CollectionStats;
 use crate::sym::{Sym, SymbolTable};
@@ -13,9 +15,13 @@ use crate::tree::{NodeKind, XmlTree};
 pub type DocId = u32;
 
 /// A set of XML document trees over one shared [`SymbolTable`].
+///
+/// The table sits behind an `Arc`: readers that need a frozen copy
+/// (engine snapshots) share it with [`Collection::shared_symbols`], and
+/// the first write after that copies it once ([`Arc::make_mut`]).
 #[derive(Debug, Default, Clone)]
 pub struct Collection {
-    syms: SymbolTable,
+    syms: Arc<SymbolTable>,
     docs: Vec<XmlTree>,
     /// Bytes of source XML text, when documents were parsed from text.
     source_bytes: u64,
@@ -29,9 +35,17 @@ impl Collection {
         Self::default()
     }
 
+    /// An empty collection over an existing symbol table.
+    pub fn with_symbols(syms: Arc<SymbolTable>) -> Self {
+        Collection {
+            syms,
+            ..Self::default()
+        }
+    }
+
     /// Parses `text` as one document and adds it.
     pub fn add_xml(&mut self, text: &str) -> Result<DocId, ParseError> {
-        let tree = parse_document(text, &mut self.syms)?;
+        let tree = parse_document(text, self.symbols_mut())?;
         self.source_bytes += text.len() as u64;
         Ok(self.push(tree))
     }
@@ -44,7 +58,7 @@ impl Collection {
     ///
     /// Root-level text is ignored; returns the new ids.
     pub fn add_xml_split(&mut self, text: &str) -> Result<Vec<DocId>, ParseError> {
-        let tree = parse_document(text, &mut self.syms)?;
+        let tree = parse_document(text, self.symbols_mut())?;
         self.source_bytes += text.len() as u64;
         let mut ids = Vec::new();
         for &child in tree.children(tree.root()) {
@@ -83,9 +97,17 @@ impl Collection {
         &self.syms
     }
 
-    /// Mutable access to the shared symbol table (for builders).
+    /// The symbol table's shared handle: cloning it is how a reader
+    /// freezes the table without copying it.
+    pub fn shared_symbols(&self) -> &Arc<SymbolTable> {
+        &self.syms
+    }
+
+    /// Mutable access to the shared symbol table (for builders). Copies
+    /// the table first if a [`Collection::shared_symbols`] clone is
+    /// still alive.
     pub fn symbols_mut(&mut self) -> &mut SymbolTable {
-        &mut self.syms
+        Arc::make_mut(&mut self.syms)
     }
 
     /// Number of documents.
@@ -108,9 +130,13 @@ impl Collection {
         self.docs.iter().enumerate().map(|(i, t)| (i as DocId, t))
     }
 
-    /// Interns (or looks up) a label.
+    /// Interns (or looks up) a label. A label already in the table
+    /// never triggers the [`Collection::symbols_mut`] copy.
     pub fn intern(&mut self, name: &str) -> Sym {
-        self.syms.intern(name)
+        match self.syms.lookup(name) {
+            Some(s) => s,
+            None => self.symbols_mut().intern(name),
+        }
     }
 
     /// Computes the Table 2 statistics of this collection.

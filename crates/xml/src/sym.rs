@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned label (element tag or text value).
 ///
@@ -34,10 +35,16 @@ impl fmt::Display for Sym {
 /// A collection of XML documents shares one `SymbolTable` so that a tag
 /// used in many documents maps to the same symbol everywhere — a
 /// prerequisite for the per-tag Trie-Symbol indexes of paper §5.2.
+///
+/// Each label is one shared allocation (`names[s]` and its `by_name`
+/// key point at the same bytes), allocated in interning order: a clone
+/// copies pointers rather than strings, and a scan over every name (the
+/// value-predicate evaluator does one per predicate) reads the labels
+/// front to back.
 #[derive(Debug, Default, Clone)]
 pub struct SymbolTable {
-    names: Vec<String>,
-    by_name: HashMap<String, Sym>,
+    names: Vec<Arc<str>>,
+    by_name: HashMap<Arc<str>, Sym>,
 }
 
 impl SymbolTable {
@@ -52,8 +59,9 @@ impl SymbolTable {
             return s;
         }
         let s = Sym(u32::try_from(self.names.len()).expect("symbol table overflow"));
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), s);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.by_name.insert(name, s);
         s
     }
 
@@ -85,7 +93,7 @@ impl SymbolTable {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (Sym(i as u32), n.as_str()))
+            .map(|(i, n)| (Sym(i as u32), &**n))
     }
 }
 
@@ -135,6 +143,18 @@ impl<'a> ScratchSyms<'a> {
     /// Number of labels that missed the base table.
     pub fn unknown(&self) -> usize {
         self.extra.len()
+    }
+
+    /// Returns the string for a symbol from the base table or the
+    /// overlay.
+    ///
+    /// # Panics
+    /// Panics if `sym` was produced by neither.
+    pub fn name(&self, sym: Sym) -> &str {
+        match sym.index().checked_sub(self.base.len()) {
+            Some(i) => &self.extra[i],
+            None => self.base.name(sym),
+        }
     }
 }
 
@@ -208,6 +228,9 @@ mod tests {
         assert_eq!(scratch.intern_sym("ghost"), ghost, "idempotent");
         assert_eq!(scratch.intern_sym("wight"), Sym(3));
         assert_eq!(scratch.unknown(), 2);
+        assert_eq!(scratch.name(b), "b");
+        assert_eq!(scratch.name(ghost), "ghost");
+        assert_eq!(scratch.name(Sym(3)), "wight");
         assert_eq!(t.len(), 2, "the base table never grows");
     }
 

@@ -43,7 +43,7 @@ fn main() {
 
     // Unordered matching also accepts records that list the year before
     // the author (§5.7 branch arrangements).
-    let unordered = engine.query_unordered(&q1).unwrap();
+    let unordered = engine.snapshot().query_unordered(&q1).unwrap();
     println!(
         "Jim Gray 1990 inproceedings (unordered twig): {}",
         unordered.matches.len()

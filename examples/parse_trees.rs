@@ -44,8 +44,9 @@ fn main() {
     // ancestor but not the parent of RBR_OR_JJR/PP are pruned during
     // subsequence matching because MaxGap(RBR_OR_JJR) = 0.
     let q8 = engine.parse_query("//NP[./RBR_OR_JJR]/PP").unwrap();
-    let with = engine.query_opts(&q8, &ExecOpts::new()).unwrap();
-    let without = engine
+    let snap = engine.snapshot();
+    let with = snap.query_opts(&q8, &ExecOpts::new()).unwrap();
+    let without = snap
         .query_opts(&q8, &ExecOpts::new().without_maxgap())
         .unwrap();
     println!(

@@ -14,9 +14,9 @@ cargo test -q --offline --workspace
 # again in release so contention bugs that hide under debug-build
 # pacing still get a shot. The server suite binds ephemeral ports
 # (127.0.0.1:0) only, so parallel CI runs don't collide. The executor
-# equivalence suite also reruns in release: its stream-vs-historical
-# counter comparisons are exactly the kind of thing optimized codegen
-# could perturb.
+# suite also reruns in release: its stream-vs-oracle match sets,
+# stream-vs-snapshot counter comparisons, and limit-pushdown page
+# counts are exactly the kind of thing optimized codegen could perturb.
 cargo test --release --test concurrency --offline --locked
 cargo test --release --test server --offline --locked
 cargo test --release --test executor_stream --offline --locked
@@ -256,6 +256,18 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -n "$PORT" ] || { echo "shop serve never reported its port" >&2; cat "$SMOKE/shop-serve.log" >&2; exit 1; }
+# CLI and server explain run the same `EngineSnapshot::explain`: the
+# text must be byte-identical. Asked before any /query, so the planner
+# statistics both sides read are still the ones on disk.
+"$PRIX" explain "$SMOKE/shop.prix" '//item[price < 10]' >"$SMOKE/explain-cli.txt"
+http '/explain?xp=%2F%2Fitem%5Bprice%20%3C%2010%5D' >"$SMOKE/explain-http.txt"
+grep -q '200 OK' "$SMOKE/explain-http.txt" || { echo "explain smoke: /explain failed" >&2; cat "$SMOKE/explain-http.txt" >&2; exit 1; }
+sed '1,/^\r$/d' "$SMOKE/explain-http.txt" >"$SMOKE/explain-body.txt"
+cmp -s "$SMOKE/explain-cli.txt" "$SMOKE/explain-body.txt" || {
+  echo "explain smoke: CLI and /explain differ" >&2
+  diff "$SMOKE/explain-cli.txt" "$SMOKE/explain-body.txt" >&2 || true
+  exit 1
+}
 # //item[price < 10], URL-encoded.
 HTTP_PRED=$(http '/query?xp=%2F%2Fitem%5Bprice%20%3C%2010%5D&limit=0')
 grep -q '200 OK' <<<"$HTTP_PRED" || { echo "predicate smoke: /query failed" >&2; echo "$HTTP_PRED" >&2; exit 1; }
@@ -274,7 +286,7 @@ wait "$SERVE_PID" || { echo "shop serve exited non-zero" >&2; cat "$SMOKE/shop-s
 "$PRIX" fsck "$SMOKE/shop.prix" >"$SMOKE/fsck.log" || { echo "fsck failed on the shop database" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
 grep -q 'valix: .* ok' "$SMOKE/fsck.log" || { echo "fsck did not verify the valix" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
 grep -q 'fsck: clean' "$SMOKE/fsck.log" || { echo "fsck not clean on the shop database" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
-echo "value-predicate smoke OK (CLI and /query bit-identical, fsck clean)"
+echo "value-predicate smoke OK (CLI and /query bit-identical, CLI and /explain byte-identical, fsck clean)"
 
 # Perf trajectory: the bulk-build bench asserts its acceptance criteria
 # in code (bulk >= 3x the incremental path, cold-query segment reads

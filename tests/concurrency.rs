@@ -6,9 +6,22 @@
 
 use std::sync::Arc;
 
-use prix::core::{parse_xpath, EngineConfig, IndexKind, LabelingMode, PrixEngine, PrixIndex};
+use prix::core::{
+    parse_xpath, EngineConfig, ExecOpts, IndexKind, LabelingMode, PrixEngine, PrixIndex, TwigMatch,
+    TwigQuery,
+};
 use prix::datagen::{generate, queries::queries_for, Dataset};
 use prix::storage::{BufferPool, Pager};
+
+/// Drains one unlimited [`PrixIndex::execute`] stream.
+fn run(idx: &PrixIndex, q: &TwigQuery) -> Vec<TwigMatch> {
+    let mut stream = idx.execute(q, &ExecOpts::new(), None).unwrap();
+    let mut matches = Vec::new();
+    while let Some(m) = stream.next_match().unwrap() {
+        matches.push(m);
+    }
+    matches
+}
 
 #[test]
 fn parallel_queries_agree_with_serial() {
@@ -92,7 +105,7 @@ fn query_batch_agrees_with_serial() {
         .map(|q| engine.query(q).unwrap().matches)
         .collect();
     for threads in [2, 4, 8] {
-        let batch = engine.query_batch(&queries, threads).unwrap();
+        let batch = engine.snapshot().query_batch(&queries, threads).unwrap();
         for (i, out) in batch.iter().enumerate() {
             assert_eq!(out.matches, serial[i], "threads={threads} query {i}");
         }
@@ -169,7 +182,7 @@ fn index_build_races_queries_on_shared_pool() {
     .unwrap();
     let mut syms = collection.symbols().clone();
     let q = parse_xpath("//inproceedings[./author]/year", &mut syms).unwrap();
-    let expected = rp.execute(&q).unwrap().0;
+    let expected = run(&rp, &q);
     std::thread::scope(|s| {
         let builder = {
             let pool = Arc::clone(&pool);
@@ -191,14 +204,13 @@ fn index_build_races_queries_on_shared_pool() {
             let expected = &expected;
             s.spawn(move || {
                 for _ in 0..30 {
-                    let (matches, _) = rp.execute(q).unwrap();
-                    assert_eq!(&matches, expected);
+                    assert_eq!(&run(rp, q), expected);
                 }
             });
         }
         let ep = builder.join().expect("ep build thread");
         let vq = parse_xpath(r#"//inproceedings[./author]"#, &mut syms.clone()).unwrap();
-        assert!(!ep.execute(&vq).unwrap().0.is_empty());
+        assert!(!run(&ep, &vq).is_empty());
     });
 }
 
@@ -263,7 +275,7 @@ fn sharded_cold_io_matches_single_shard_pool() {
             let q = parse_xpath(pq.xpath, &mut syms).unwrap();
             pool.clear().unwrap();
             let before = pool.snapshot();
-            idx.execute(&q).unwrap();
+            run(&idx, &q);
             reads.push(pool.snapshot().since(&before).physical_reads);
         }
         per_shard.push(reads);

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use prix::core::query::TwigQuery;
 use prix::core::{
-    naive, prix_embedding_exact, AltProvider, EngineChoice, EngineConfig, EngineId, ExecOpts,
-    PrixEngine, QueryEngine, TwigMatch,
+    naive, prix_embedding_exact, AltProvider, EngineChoice, EngineConfig, EngineId, EngineSnapshot,
+    ExecOpts, NoAlts, PrixEngine, QueryEngine, TwigMatch,
 };
 use prix::datagen::{generate, queries::queries_for, Dataset};
 use prix::storage::{BufferPool, Pager};
@@ -187,10 +187,10 @@ fn doc_set(matches: &[TwigMatch]) -> Vec<u32> {
 ///   frequency-consistency pins the branch image);
 /// * with a limit, the planner stays on PRIX (no limit pushdown in the
 ///   alternative joins).
-fn assert_routing_agrees(engine: &PrixEngine, q: &TwigQuery, alts: &TestAlts, tag: &str) {
+fn assert_routing_agrees(snap: &EngineSnapshot, q: &TwigQuery, alts: &TestAlts, tag: &str) {
     let opts = ExecOpts::new();
-    let routed = engine.query_routed(q, &opts, None, alts).unwrap();
-    let prix = engine
+    let routed = snap.query_routed(q, &opts, None, alts).unwrap();
+    let prix = snap
         .query_routed(q, &opts, Some(EngineChoice::Prix), alts)
         .unwrap();
     assert!(!routed.report.forced, "{tag}: routed plan marked forced");
@@ -203,7 +203,7 @@ fn assert_routing_agrees(engine: &PrixEngine, q: &TwigQuery, alts: &TestAlts, ta
     );
 
     for id in [EngineId::Vist, EngineId::TwigStack, EngineId::TwigStackXb] {
-        let forced = engine
+        let forced = snap
             .query_routed(q, &opts, Some(EngineChoice::Forced(id)), alts)
             .unwrap();
         assert_eq!(forced.outcome.engine, id, "{tag}: wrong engine ran");
@@ -234,7 +234,7 @@ fn assert_routing_agrees(engine: &PrixEngine, q: &TwigQuery, alts: &TestAlts, ta
 
     // A limit pins routing to PRIX: the alternatives cannot push it
     // into their joins, so they are never eligible.
-    let limited = engine
+    let limited = snap
         .query_routed(q, &opts.with_limit(3), None, alts)
         .unwrap();
     assert!(
@@ -250,7 +250,7 @@ fn check_routed(ds: Dataset) {
     let alts = TestAlts::build(&collection);
     for pq in queries_for(ds) {
         let q = engine.parse_query(pq.xpath).unwrap();
-        assert_routing_agrees(&engine, &q, &alts, pq.id);
+        assert_routing_agrees(&engine.snapshot(), &q, &alts, pq.id);
     }
 }
 
@@ -267,6 +267,56 @@ fn swissprot_routed_agreement() {
 #[test]
 fn treebank_routed_agreement() {
     check_routed(Dataset::Treebank);
+}
+
+/// Strictly ascending by `(doc, embedding)`: canonical and distinct.
+fn is_canonical(matches: &[TwigMatch]) -> bool {
+    matches
+        .windows(2)
+        .all(|w| (w[0].doc, &w[0].embedding) < (w[1].doc, &w[1].embedding))
+}
+
+/// Every PRIX read surface returns its matches in the canonical
+/// `(doc, embedding)` order, limited or not — a limit decides *which*
+/// matches make the cut (trie order), never the order they come back
+/// in — and a direct read equals the routed PRIX read exactly.
+#[test]
+fn read_surfaces_return_canonical_order() {
+    for ds in [Dataset::Dblp, Dataset::Swissprot, Dataset::Treebank] {
+        let mut engine = PrixEngine::build(generate(ds, 0.03, 7), EngineConfig::default()).unwrap();
+        let queries: Vec<(&str, TwigQuery)> = queries_for(ds)
+            .iter()
+            .map(|pq| (pq.id, engine.parse_query(pq.xpath).unwrap()))
+            .collect();
+        let all: Vec<TwigQuery> = queries.iter().map(|(_, q)| q.clone()).collect();
+        let snap = engine.snapshot();
+        for opts in [ExecOpts::new(), ExecOpts::new().with_limit(10)] {
+            let batch = snap.query_batch_opts(&all, 2, &opts).unwrap();
+            for ((id, q), batched) in queries.iter().zip(&batch) {
+                let tag = format!("{id} limit {:?}", opts.limit);
+                let direct = snap.query_opts(q, &opts).unwrap();
+                let routed = snap
+                    .query_routed(q, &opts, Some(EngineChoice::Prix), &NoAlts)
+                    .unwrap()
+                    .outcome;
+                let unordered = snap.query_unordered_opts(q, &opts).unwrap();
+                for (surface, out) in [
+                    ("query_opts", &direct),
+                    ("query_batch_opts", batched),
+                    ("query_routed", &routed),
+                    ("query_unordered_opts", &unordered),
+                ] {
+                    assert!(
+                        is_canonical(&out.matches),
+                        "{tag}: {surface} is not in (doc, embedding) order"
+                    );
+                }
+                assert_eq!(direct.matches, routed.matches, "{tag}: direct vs routed");
+                assert_eq!(direct.truncated, routed.truncated, "{tag}: truncated");
+                assert_eq!(batched.matches, direct.matches, "{tag}: batch vs direct");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -375,7 +425,7 @@ fn prop_routed_matches_forced_prix(input: &RoutedInput) -> Result<(), String> {
     let q = build_query(*q_root, q_steps, q_edges, &mut syms);
     let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
     let alts = TestAlts::build(&collection);
-    assert_routing_agrees(&engine, &q, &alts, "random twig");
+    assert_routing_agrees(&engine.snapshot(), &q, &alts, "random twig");
     Ok(())
 }
 

@@ -1,9 +1,11 @@
-//! The streaming executor's contract against the historical one:
+//! The streaming executor's contract:
 //!
-//! * **Equivalence** — for every query of the paper workload, on both
-//!   the RPIndex and the EPIndex, draining `execute_stream` yields the
-//!   same match set and identical deterministic counters as
-//!   `execute_opts` without a limit.
+//! * **Oracle equivalence** — for every query of the paper workload, on
+//!   both the RPIndex and the EPIndex, draining `PrixIndex::execute`
+//!   yields exactly the naive oracle's match set with self-consistent
+//!   counters, and the snapshot read path returns the same matches in
+//!   canonical `(doc, embedding)` order with the drained stream's
+//!   counters.
 //! * **Limit pushdown** — on a high-fanout collection, `limit = 10`
 //!   performs strictly fewer range queries, scans strictly fewer trie
 //!   nodes, and reads strictly fewer buffer-pool pages than the
@@ -12,17 +14,15 @@
 //!   batch counts only its own query's page accesses.
 
 use prix::core::index::ExecOpts;
-use prix::core::{EngineConfig, PrixEngine, PrixIndex, TwigQuery};
+use prix::core::{
+    naive, EngineConfig, IndexKind, PrixEngine, PrixIndex, QueryStats, TwigMatch, TwigQuery,
+};
 use prix::datagen::{generate, queries::queries_for, Dataset};
 use prix::xml::Collection;
 
 /// Drains a stream and returns its matches plus final stats.
-fn drain(
-    idx: &PrixIndex,
-    q: &TwigQuery,
-    opts: &ExecOpts,
-) -> (Vec<prix::core::TwigMatch>, prix::core::QueryStats, bool) {
-    let mut stream = idx.execute_stream(q, opts).unwrap();
+fn drain(idx: &PrixIndex, q: &TwigQuery, opts: &ExecOpts) -> (Vec<TwigMatch>, QueryStats, bool) {
+    let mut stream = idx.execute(q, opts, None).unwrap();
     let mut out = Vec::new();
     while let Some(m) = stream.next_match().unwrap() {
         out.push(m);
@@ -30,14 +30,28 @@ fn drain(
     (out, stream.stats(), stream.exhausted())
 }
 
-fn sorted(mut v: Vec<prix::core::TwigMatch>) -> Vec<prix::core::TwigMatch> {
+fn sorted(mut v: Vec<TwigMatch>) -> Vec<TwigMatch> {
     v.sort();
     v
 }
 
+/// Every ordered embedding the naive oracle finds, in canonical order.
+fn oracle(collection: &Collection, q: &TwigQuery) -> Vec<TwigMatch> {
+    let mut out: Vec<TwigMatch> = collection
+        .iter()
+        .flat_map(|(doc, tree)| {
+            naive::naive_ordered(tree, q)
+                .into_iter()
+                .map(move |embedding| TwigMatch { doc, embedding })
+        })
+        .collect();
+    out.sort();
+    out
+}
+
 /// For every paper-workload query, on every index that supports it:
-/// the drained stream equals the historical executor — same match set
-/// and equal deterministic counters.
+/// the drained stream equals the naive oracle, and the snapshot read
+/// path reports the same answer and counters.
 fn check_equivalence(ds: Dataset) {
     let collection = generate(ds, 0.03, 7);
     let mut engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
@@ -45,51 +59,65 @@ fn check_equivalence(ds: Dataset) {
         .iter()
         .map(|pq| (pq.id, engine.parse_query(pq.xpath).unwrap()))
         .collect();
-    let indexes = [
-        ("RPIndex", engine.rp_index()),
-        ("EPIndex", engine.ep_index()),
-    ];
+    let snap = engine.snapshot();
     let mut executed = 0;
     for (id, q) in &queries {
-        for (name, idx) in indexes.iter() {
+        let expected = oracle(engine.collection(), q);
+        for (name, idx) in [
+            ("RPIndex", engine.rp_index()),
+            ("EPIndex", engine.ep_index()),
+        ] {
             let Some(idx) = idx else { continue };
-            // Some queries are only supported by one flavor (value
-            // predicates need the EPIndex, single-node queries the
-            // extended plan); equivalence only applies where the
-            // historical executor ran at all.
-            let Ok((old_matches, old_stats)) = idx.execute_opts(q, &ExecOpts::new()) else {
+            // Some queries run on one flavor only (value predicates need
+            // the EPIndex, single-node queries the extended plan).
+            if idx.execute(q, &ExecOpts::new(), None).is_err() {
                 continue;
-            };
+            }
             executed += 1;
-            let (streamed, stream_stats, exhausted) = drain(idx, q, &ExecOpts::new());
+            let (streamed, stats, exhausted) = drain(idx, q, &ExecOpts::new());
             assert!(exhausted, "{id} on {name}: unlimited stream must drain");
             assert_eq!(
                 sorted(streamed),
-                sorted(old_matches),
-                "{id} on {name}: match sets differ"
+                expected,
+                "{id} on {name}: match set differs from the naive oracle"
             );
-            assert_eq!(
-                stream_stats.counters_only(),
-                old_stats.counters_only(),
-                "{id} on {name}: counters differ"
+            assert_eq!(stats.matches, expected.len() as u64, "{id} on {name}");
+            assert!(
+                stats.candidates >= stats.refined && stats.refined >= stats.matches,
+                "{id} on {name}: candidates >= refined >= matches: {stats:?}"
             );
         }
+        // The snapshot read path over the same single tier: the §5.6
+        // choice, canonical order, and exactly the drained counters.
+        let out = snap.query(q).unwrap();
+        assert_eq!(out.matches, expected, "{id}: snapshot read");
+        assert!(!out.truncated, "{id}: unlimited read is never truncated");
+        let idx = match out.index_used {
+            IndexKind::Regular => engine.rp_index(),
+            IndexKind::Extended => engine.ep_index(),
+        };
+        let (_, stats, _) = drain(idx.unwrap(), q, &ExecOpts::new());
+        assert_eq!(
+            out.stats.counters_only(),
+            stats.counters_only(),
+            "{id}: snapshot counters differ from the drained stream"
+        );
     }
     assert!(executed > 0, "workload exercised no index at all");
 }
 
 #[test]
-fn stream_equals_execute_opts_dblp() {
+fn stream_equals_naive_oracle_dblp() {
     check_equivalence(Dataset::Dblp);
 }
 
 #[test]
-fn stream_equals_execute_opts_swissprot() {
+fn stream_equals_naive_oracle_swissprot() {
     check_equivalence(Dataset::Swissprot);
 }
 
 #[test]
-fn stream_equals_execute_opts_treebank() {
+fn stream_equals_naive_oracle_treebank() {
     check_equivalence(Dataset::Treebank);
 }
 
@@ -122,10 +150,11 @@ fn limit_pushdown_strictly_reduces_work_and_io() {
     let engine = PrixEngine::build(high_fanout_collection(120), EngineConfig::default()).unwrap();
     let mut syms = engine.collection().symbols().clone();
     let q = prix::core::parse_xpath("//a/b", &mut syms).unwrap();
+    let snap = engine.snapshot();
 
     // Cold cache for each run so `io.logical_reads` is comparable.
     engine.clear_cache().unwrap();
-    let unlimited = engine.query_opts(&q, &ExecOpts::new()).unwrap();
+    let unlimited = snap.query_opts(&q, &ExecOpts::new()).unwrap();
     assert!(
         unlimited.matches.len() > 100,
         "workload too small: {} matches",
@@ -134,7 +163,7 @@ fn limit_pushdown_strictly_reduces_work_and_io() {
     assert!(!unlimited.truncated);
 
     engine.clear_cache().unwrap();
-    let limited = engine
+    let limited = snap
         .query_opts(&q, &ExecOpts::new().with_limit(10))
         .unwrap();
     assert_eq!(limited.matches.len(), 10);
@@ -158,10 +187,11 @@ fn limit_pushdown_strictly_reduces_work_and_io() {
         limited.io.logical_reads,
         unlimited.io.logical_reads
     );
-    // The limited run's matches are a prefix of the unlimited stream.
-    let idx = engine.pick_index(&q).unwrap();
-    let (streamed, _, _) = drain(idx, &q, &ExecOpts::new());
-    assert_eq!(limited.matches, streamed[..10]);
+    // The limited run's matches are a prefix of the unlimited stream,
+    // returned in canonical order.
+    assert_eq!(limited.index_used, IndexKind::Regular);
+    let (streamed, _, _) = drain(engine.rp_index().unwrap(), &q, &ExecOpts::new());
+    assert_eq!(limited.matches, sorted(streamed[..10].to_vec()));
 }
 
 /// Per-query I/O attribution: in a concurrent batch, each outcome's
@@ -185,7 +215,7 @@ fn batch_io_is_attributed_per_query() {
 
     // Interleave the queries across 4 workers, several times over.
     let many: Vec<TwigQuery> = (0..4).flat_map(|_| queries.iter().cloned()).collect();
-    let outs = engine.query_batch(&many, 4).unwrap();
+    let outs = engine.snapshot().query_batch(&many, 4).unwrap();
     for (i, out) in outs.iter().enumerate() {
         assert_eq!(
             out.io.logical_reads,

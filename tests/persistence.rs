@@ -76,7 +76,10 @@ fn non_default_arrangement_limit_survives_reopen() {
     assert_eq!(engine.arrangement_limit(), 1);
     // Three branches under `a` have 6 arrangements: over the limit.
     let q = engine.parse_query("//a[./b][./c]/d").unwrap();
-    assert!(engine.query_unordered(&q).is_err(), "limit 1 must reject");
+    assert!(
+        engine.snapshot().query_unordered(&q).is_err(),
+        "limit 1 must reject"
+    );
     engine.save().unwrap();
     drop(engine);
     let mut reopened = PrixEngine::reopen(&path, 64).unwrap();
@@ -86,7 +89,10 @@ fn non_default_arrangement_limit_survives_reopen() {
         "configured limit was silently replaced by the default on reopen"
     );
     let q = reopened.parse_query("//a[./b][./c]/d").unwrap();
-    assert!(reopened.query_unordered(&q).is_err(), "limit survives");
+    assert!(
+        reopened.snapshot().query_unordered(&q).is_err(),
+        "limit survives"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

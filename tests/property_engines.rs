@@ -301,10 +301,12 @@ fn prop_maxgap_is_lossless(input: &EngineInput) -> Result<(), String> {
     let collection = build_collection(doc_scripts);
     let mut syms = collection.symbols().clone();
     let q = build_query(*q_root, q_steps, q_edges, true, &mut syms);
-    let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let snap = PrixEngine::build(collection, EngineConfig::default())
+        .unwrap()
+        .snapshot();
     use prix::core::index::ExecOpts;
-    let with = engine.query_opts(&q, &ExecOpts::new()).unwrap();
-    let without = engine
+    let with = snap.query_opts(&q, &ExecOpts::new()).unwrap();
+    let without = snap
         .query_opts(&q, &ExecOpts::new().without_maxgap())
         .unwrap();
     assert_eq!(
@@ -332,25 +334,26 @@ fn maxgap_is_lossless() {
 
 /// Limit pushdown is sound: on random trees and twigs, `limit = k`
 /// returns exactly the first `k` matches of the unlimited streaming
-/// order, never does more filtering work, and the streamed match set
-/// equals the historical executor's output.
+/// order (in canonical order), never does more filtering work, and the
+/// streamed match set equals the unlimited read's.
 fn prop_limit_is_prefix_of_unlimited(input: &EngineInput) -> Result<(), String> {
     let (doc_scripts, (q_root, q_steps, q_edges)) = input;
     let collection = build_collection(doc_scripts);
     let mut syms = collection.symbols().clone();
     let q = build_query(*q_root, q_steps, q_edges, true, &mut syms);
     let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
-    use prix::core::index::ExecOpts;
+    let snap = engine.snapshot();
+    use prix::core::index::{ExecOpts, IndexKind};
 
-    let unlimited = engine.query_opts(&q, &ExecOpts::new()).unwrap();
+    let unlimited = snap.query_opts(&q, &ExecOpts::new()).unwrap();
     assert!(!unlimited.truncated);
 
     // The unlimited stream: same match set, trie-arrival order.
-    let mut stream = engine
-        .pick_index(&q)
-        .unwrap()
-        .execute_stream(&q, &ExecOpts::new())
-        .unwrap();
+    let idx = match unlimited.index_used {
+        IndexKind::Regular => engine.rp_index(),
+        IndexKind::Extended => engine.ep_index(),
+    };
+    let mut stream = idx.unwrap().execute(&q, &ExecOpts::new(), None).unwrap();
     let mut streamed = Vec::new();
     while let Some(m) = stream.next_match().unwrap() {
         streamed.push(m);
@@ -358,15 +361,17 @@ fn prop_limit_is_prefix_of_unlimited(input: &EngineInput) -> Result<(), String> 
     assert_eq!(
         matches_as_set(&streamed),
         matches_as_set(&unlimited.matches),
-        "stream vs execute_opts match set"
+        "stream vs query_opts match set"
     );
 
     for k in 0..=streamed.len() + 1 {
-        let out = engine
-            .query_opts(&q, &ExecOpts::new().with_limit(k))
-            .unwrap();
+        let out = snap.query_opts(&q, &ExecOpts::new().with_limit(k)).unwrap();
         let expect: Vec<_> = streamed.iter().take(k).cloned().collect();
-        assert_eq!(out.matches, expect, "limit {k} is not a prefix");
+        assert_eq!(
+            matches_as_set(&out.matches),
+            matches_as_set(&expect),
+            "limit {k} is not a prefix"
+        );
         assert_eq!(
             out.truncated,
             k <= streamed.len(),
@@ -422,7 +427,7 @@ fn prop_unordered_is_arrangement_union(input: &EngineInput) -> Result<(), String
     expected.sort();
     expected.dedup();
 
-    let out = engine.query_unordered(&q).unwrap();
+    let out = engine.snapshot().query_unordered(&q).unwrap();
     assert_eq!(matches_as_set(&out.matches), expected);
     Ok(())
 }

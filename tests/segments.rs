@@ -102,6 +102,7 @@ fn full_results(engine: &mut PrixEngine) -> Result<Vec<(MatchSet, MatchSet)>, St
             return Err(format!("unlimited query {xp} claims truncation"));
         }
         let unord = engine
+            .snapshot()
             .query_unordered(&q)
             .map_err(|e| format!("unordered {xp}: {e}"))?;
         out.push((match_set(&ord.matches), match_set(&unord.matches)));
@@ -127,6 +128,7 @@ fn check_limited(
             ..Default::default()
         };
         let out = engine
+            .snapshot()
             .query_opts(&q, &opts)
             .map_err(|e| format!("limited query {xp}: {e}"))?;
         let got = match_set(&out.matches);

@@ -10,9 +10,10 @@
 //! bottom.
 
 use prix::core::index::{ExecOpts, IndexKind};
-use prix::core::plan::PrixBackend;
 use prix::core::query::{PredOp, PredValue, TwigQuery, ValuePred};
-use prix::core::{EngineConfig, LabelingMode, PrixEngine, TwigMatch};
+use prix::core::{
+    EngineChoice, EngineConfig, EngineId, LabelingMode, NoAlts, PrixEngine, TwigMatch,
+};
 use prix::prufer::EdgeKind;
 use prix::xml::{Collection, NodeKind, PostNum, SymbolTable, XmlTree};
 use prix_testkit::{check, from_fn, replay, Config, Generator, TestRng};
@@ -221,14 +222,25 @@ fn prop_filtered_equals_postfiltered(input: &PredInput) -> Result<(), String> {
     let q = build_query(*q_root, q_steps, q_edges, pred_specs, &mut syms);
     let bare = q.without_preds();
 
-    let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
+    let snap = PrixEngine::build(collection.clone(), EngineConfig::default())
+        .unwrap()
+        .snapshot();
     for force in [None, Some(IndexKind::Regular), Some(IndexKind::Extended)] {
         if force == Some(IndexKind::Regular) && bare.needs_extended() {
             continue; // Exactly-edge leaves and single-node twigs are EP-only
         }
         let opts = ExecOpts::new();
-        let unfiltered = engine.execute_prix(&bare, &opts, force).unwrap();
-        let filtered = engine.execute_prix(&q, &opts, force).unwrap();
+        let run = |q: &TwigQuery| match force {
+            None => snap.query_opts(q, &opts).unwrap(),
+            Some(kind) => {
+                let forced = EngineChoice::Forced(EngineId::from_kind(kind));
+                snap.query_routed(q, &opts, Some(forced), &NoAlts)
+                    .unwrap()
+                    .outcome
+            }
+        };
+        let unfiltered = run(&bare);
+        let filtered = run(&q);
         let expect = oracle_filter(&collection, &syms, &q, &unfiltered.matches);
         assert_eq!(
             filtered.matches, expect,
@@ -262,12 +274,12 @@ fn prop_predicate_limit_is_prefix(input: &PredInput) -> Result<(), String> {
     let mut syms = collection.symbols().clone();
     let q = build_query(*q_root, q_steps, q_edges, pred_specs, &mut syms);
 
-    let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
-    let all = engine.query_opts(&q, &ExecOpts::new()).unwrap();
+    let snap = PrixEngine::build(collection, EngineConfig::default())
+        .unwrap()
+        .snapshot();
+    let all = snap.query_opts(&q, &ExecOpts::new()).unwrap();
     for k in [0, 1, 2, all.matches.len(), all.matches.len() + 3] {
-        let out = engine
-            .query_opts(&q, &ExecOpts::new().with_limit(k))
-            .unwrap();
+        let out = snap.query_opts(&q, &ExecOpts::new().with_limit(k)).unwrap();
         let expect: Vec<_> = all.matches.iter().take(k).cloned().collect();
         assert_eq!(out.matches, expect, "limit {k} is not a prefix");
     }
@@ -298,9 +310,11 @@ fn prop_unordered_filters_identically(input: &PredInput) -> Result<(), String> {
     let q = build_query(*q_root, q_steps, q_edges, pred_specs, &mut syms);
     let bare = q.without_preds();
 
-    let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
-    let unfiltered = engine.query_unordered(&bare).unwrap();
-    let filtered = engine.query_unordered(&q).unwrap();
+    let snap = PrixEngine::build(collection.clone(), EngineConfig::default())
+        .unwrap()
+        .snapshot();
+    let unfiltered = snap.query_unordered(&bare).unwrap();
+    let filtered = snap.query_unordered(&q).unwrap();
     let expect = oracle_filter(&collection, &syms, &q, &unfiltered.matches);
     assert_eq!(filtered.matches, expect);
     Ok(())
